@@ -16,6 +16,11 @@ cargo build --workspace --release
 echo "==> cargo test"
 cargo test --workspace -q
 
+echo "==> benchmark check (separate workspace: build, unit tests, quick run)"
+# The benchmark is its own package, which `cargo test --workspace` never
+# builds; this catches a change that breaks an API it calls.
+benchmark/check.sh
+
 echo "==> trace smoke (instrumented run + Perfetto export)"
 trace_dir=$(mktemp -d)
 cargo run --release -p titancfi-bench --bin trace -- \
@@ -40,9 +45,10 @@ rm -rf "$fault_dir"
 echo "==> fuzz smoke (differential oracle over a seed slice + planted-bug self-test)"
 # The fuzz binary exits nonzero if any seed's program behaves differently
 # across the execution-mode/firmware/resilience/multicore matrix. The
-# stepping-mode axis has four cells — strict, predecode, fast-forward, and
-# block-compiled (superblock dispatch) — and the dual-core axis runs
-# strict/fast/block, so every seed exercises the translation cache. Every
+# stepping-mode axis has three cells — strict, observed (per-cycle over
+# the predecoded caches, latency collector attached), and block-compiled
+# (superblock dispatch) — and the dual-core axis runs strict/block, so
+# every seed exercises the decode and translation caches. Every
 # seed also sweeps the policy axis: benign plus all three corruption
 # variants (return hijack / jump-table smash / fn-ptr type confusion),
 # each of which must be flagged by exactly the predicted policy. The

@@ -12,10 +12,10 @@
 //!   depth on the call-dense kernel, reporting p50/p95/p99/max for every
 //!   lifecycle stage (queue wait, AXI beats, firmware check, verdict
 //!   read-back) plus end-to-end. Every cell is run three times: twice in
-//!   strict stepping (rerun determinism) and once with the predecode +
-//!   quantum-batching fast path requested (the latency probe forces strict
-//!   stepping, so the metrics must come out byte-identical — that identity
-//!   is asserted, not assumed).
+//!   strict stepping (rerun determinism) and once with the fast path
+//!   requested (the latency probe forces per-cycle stepping over the
+//!   predecoded caches, so the metrics must come out byte-identical — that
+//!   identity is asserted, not assumed).
 //! * **Detection latency** — corruption classes (stack-smash hijack loop,
 //!   fuzz-generated return hijacks, a wedged doorbell transport under a
 //!   fail-closed watchdog), reporting the cycles from the corrupting
@@ -216,7 +216,7 @@ fn main() -> ExitCode {
             if !cross_mode {
                 eprintln!(
                     "latency: STEPPING-MODE MISMATCH {}/depth{depth}: \
-                     latency metrics must be byte-identical across strict/predecode/fast-forward",
+                     latency metrics must be byte-identical with the fast path on and off",
                     firmware.name()
                 );
                 failed = true;

@@ -1,6 +1,6 @@
 //! Simulator-throughput benchmark: simulated-cycles/sec and retired
-//! instructions/sec across representative kernels, with the predecode +
-//! quantum-batching fast path on and off.
+//! instructions/sec across representative kernels, with the fast path
+//! (predecode + block-compiled dispatch) on and off.
 //!
 //! ```text
 //! cargo run --release -p titancfi-bench --bin throughput -- \
@@ -119,8 +119,8 @@ fn run_native_suite(fast: bool, budget: u64) -> RunOutcome {
     }
 }
 
-/// The full SoC (host + CFI transport + RoT firmware): measures quantum
-/// batching on top of predecode.
+/// The full SoC (host + CFI transport + RoT firmware): measures block
+/// dispatch and event-driven background scheduling on top of predecode.
 fn run_soc(name: &str, fast: bool, budget: u64) -> RunOutcome {
     let prog = kernel(name).program().expect("assembles");
     let config = SocConfig {

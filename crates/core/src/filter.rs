@@ -61,7 +61,7 @@ impl CfiFilter {
     }
 
     /// Accounts a batch of straight-line (non-CFI-relevant) retirements that
-    /// the commit-stage hardware scanned during a fast-forwarded quantum.
+    /// the commit-stage hardware scanned during a dispatched superblock.
     /// Identical counter effect to calling [`CfiFilter::scan`] `count` times
     /// on non-control-flow instructions.
     #[inline]

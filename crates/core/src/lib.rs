@@ -14,7 +14,7 @@
 //! * [`CfiFilter`] — the per-commit-port filter selecting calls, returns
 //!   and indirect jumps;
 //! * [`CfiQueue`] + [`QueueController`] — the single-push-per-cycle FIFO
-//!   and the commit-stall policy;
+//!   of core-tagged logs and the commit-stall counters;
 //! * [`LogWriter`] — the FSM chunking logs into 64-bit AXI beats, ringing
 //!   the mailbox doorbell and raising exceptions on violations;
 //! * [`firmware`] — the RV32 shadow-stack firmware (IRQ / Polling /
@@ -50,4 +50,4 @@ pub use accounting::{Breakdown, Category, Cost, Phase};
 pub use commit_log::CommitLog;
 pub use filter::{CfiFilter, FilterStats};
 pub use log_writer::{AxiTiming, FailPolicy, LogWriter, ResilienceConfig, Violation, WriterState};
-pub use queue::{CfiQueue, QueueController, StallReason};
+pub use queue::{CfiQueue, QueueController, TaggedLog};

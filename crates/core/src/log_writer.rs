@@ -15,9 +15,13 @@
 //! [`FaultInjector`] attached and a responsive RoT the added machinery is
 //! inert: the fault-free path takes exactly the same cycles as the plain
 //! paper FSM.
+//!
+//! Word 7 carries that integrity word only while the mailbox verifies it.
+//! Otherwise it carries the id of the host core that retired the log,
+//! which the banked multi-core firmware reads to pick a shadow stack.
 
 use crate::commit_log::{CommitLog, BEATS, WORDS};
-use crate::queue::CfiQueue;
+use crate::queue::{CfiQueue, TaggedLog};
 use opentitan_model::CfiMailbox;
 use titancfi_faults::{BeatFault, FaultClass, FaultInjector, RingFault};
 use titancfi_obs::{NoProbe, Probe, Track};
@@ -131,6 +135,8 @@ const MAX_BEAT_REPLAYS: u32 = 16;
 /// A detected control-flow violation (the exception the FSM raises).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Violation {
+    /// The host core that retired the offending log.
+    pub core: u8,
     /// The offending commit log.
     pub log: CommitLog,
     /// Cycle at which the verdict was read.
@@ -144,7 +150,7 @@ pub struct LogWriter {
     timing: AxiTiming,
     resilience: ResilienceConfig,
     injector: Option<FaultInjector>,
-    current: Option<CommitLog>,
+    current: Option<TaggedLog>,
     /// Cycle the doorbell for the in-flight log was rung (latency probe).
     doorbell_rung_at: u64,
     /// Failed delivery attempts for the in-flight log.
@@ -294,8 +300,8 @@ impl LogWriter {
     ) -> Option<Violation> {
         match self.state {
             WriterState::Idle => {
-                if let Some(log) = queue.pop_probed(now, probe) {
-                    self.current = Some(log);
+                if let Some(entry) = queue.pop_probed(now, probe) {
+                    self.current = Some(entry);
                     self.seq = self.seq.wrapping_add(1);
                     self.attempt = 0;
                     self.beat_replays = 0;
@@ -327,16 +333,22 @@ impl LogWriter {
                     self.schedule_beat(beat, now, probe);
                     return None;
                 }
-                let log = self.current.expect("writing state implies a current log");
+                let TaggedLog { core, log } =
+                    self.current.expect("writing state implies a current log");
                 let beats = log.to_beats();
                 // The beat's data lands in the mailbox data words now. The
-                // final beat's upper word is the spare word 7, which carries
-                // the sequence number + checksum integrity word.
+                // final beat's upper word is the spare word 7: the sequence
+                // number + checksum integrity word, or the source core id
+                // when the mailbox does not check integrity.
                 let last = beat + 1 == BEATS;
                 let mut words = [(beats[beat] as u32), (beats[beat] >> 32) as u32];
                 if last {
                     debug_assert_eq!(2 * beat + 1, WORDS);
-                    words[1] = CfiMailbox::integrity_word(self.seq, &log.to_words());
+                    words[1] = if mailbox.integrity_enabled() {
+                        CfiMailbox::integrity_word(self.seq, &log.to_words())
+                    } else {
+                        u32::from(core)
+                    };
                 }
                 if let BeatFault::BitFlip { word, bit } = fault {
                     words[word] ^= 1 << bit;
@@ -406,7 +418,7 @@ impl LogWriter {
                 }
                 let verdict = mailbox.host_read_data(0);
                 mailbox.host_clear_completion();
-                let log = self
+                let TaggedLog { core, log } = self
                     .current
                     .take()
                     .expect("read state implies a current log");
@@ -423,7 +435,11 @@ impl LogWriter {
                 if verdict != 0 {
                     self.violations += 1;
                     probe.instant(Track::LogWriter, "violation", now);
-                    return Some(Violation { log, cycle: now });
+                    return Some(Violation {
+                        core,
+                        log,
+                        cycle: now,
+                    });
                 }
                 None
             }
@@ -540,7 +556,7 @@ impl LogWriter {
         }
         self.attempt = 0;
         self.pending_ring_at = None;
-        let log = self
+        let TaggedLog { core, log } = self
             .current
             .take()
             .expect("escalation implies a current log");
@@ -553,7 +569,11 @@ impl LogWriter {
                 probe.log_abandoned(now, true);
                 probe.counter_add("writer.forced_violations", 1);
                 probe.instant(Track::LogWriter, "escalate-fail-closed", now);
-                Some(Violation { log, cycle: now })
+                Some(Violation {
+                    core,
+                    log,
+                    cycle: now,
+                })
             }
             FailPolicy::FailOpen => {
                 self.dropped_logs += 1;
@@ -651,18 +671,16 @@ mod tests {
         );
     }
 
-    #[test]
-    fn mailbox_receives_full_log() {
+    /// Streams one log from `core` into a fresh mailbox and returns the
+    /// mailbox contents once the doorbell rings: the log and word 7.
+    fn deliver(core: u8, sent: CommitLog, integrity: bool) -> (CommitLog, u32) {
         let mut queue = CfiQueue::new(1);
         let mailbox = CfiMailbox::new();
+        if integrity {
+            mailbox.enable_integrity();
+        }
         let mut writer = LogWriter::new(AxiTiming::default());
-        let sent = CommitLog {
-            pc: 0x1111_2222_3333_4444,
-            insn: 0x0080_00ef,
-            next: 0x1111_2222_3333_4448,
-            target: 0x5555_6666_7777_8888,
-        };
-        queue.push(sent);
+        queue.push(TaggedLog { core, log: sent });
         for now in 0..1000 {
             writer.tick(now, &mut queue, &mailbox);
             if mailbox.doorbell_pending() {
@@ -672,13 +690,32 @@ mod tests {
         let words: Vec<u32> = (0..crate::commit_log::WORDS)
             .map(|i| mailbox.host_read_data(i))
             .collect();
-        let got = CommitLog::from_words(&words.try_into().expect("7 words"));
-        assert_eq!(got, sent);
-        // Spare word 7 carries the integrity word for this (first) log.
-        assert_eq!(
+        (
+            CommitLog::from_words(&words.try_into().expect("7 words")),
             mailbox.host_read_data(crate::commit_log::WORDS),
-            CfiMailbox::integrity_word(1, &sent.to_words())
-        );
+        )
+    }
+
+    const SENT: CommitLog = CommitLog {
+        pc: 0x1111_2222_3333_4444,
+        insn: 0x0080_00ef,
+        next: 0x1111_2222_3333_4448,
+        target: 0x5555_6666_7777_8888,
+    };
+
+    #[test]
+    fn mailbox_receives_full_log() {
+        let (got, word7) = deliver(0, SENT, true);
+        assert_eq!(got, SENT);
+        // Spare word 7 carries the integrity word for this (first) log.
+        assert_eq!(word7, CfiMailbox::integrity_word(1, &SENT.to_words()));
+    }
+
+    #[test]
+    fn word7_carries_source_core_without_integrity() {
+        let (got, word7) = deliver(1, SENT, false);
+        assert_eq!(got, SENT);
+        assert_eq!(word7, 1, "the banked firmware reads the core id here");
     }
 
     #[test]

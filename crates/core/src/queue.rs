@@ -9,12 +9,29 @@
 
 use crate::commit_log::CommitLog;
 use std::collections::VecDeque;
-use titancfi_obs::{NoProbe, Probe, Track};
+use titancfi_obs::{Probe, Track};
+
+/// A queue entry: a commit log tagged with the host core that retired it,
+/// so one queue and one Log Writer serve any number of monitored cores.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TaggedLog {
+    /// Originating host core (always 0 on a single-core SoC).
+    pub core: u8,
+    /// The log.
+    pub log: CommitLog,
+}
+
+impl From<CommitLog> for TaggedLog {
+    /// A log from core 0.
+    fn from(log: CommitLog) -> TaggedLog {
+        TaggedLog { core: 0, log }
+    }
+}
 
 /// The commit-log FIFO.
 #[derive(Debug, Clone)]
 pub struct CfiQueue {
-    entries: VecDeque<CommitLog>,
+    entries: VecDeque<TaggedLog>,
     depth: usize,
     /// High-water mark (for area/behaviour analysis).
     pub max_occupancy: usize,
@@ -66,13 +83,14 @@ impl CfiQueue {
         self.entries.len() == self.depth
     }
 
-    /// Pushes a log; returns `false` (and drops nothing) when full.
+    /// Pushes a log (a bare [`CommitLog`] counts as core 0's); returns
+    /// `false` (and drops nothing) when full.
     #[inline]
-    pub fn push(&mut self, log: CommitLog) -> bool {
+    pub fn push(&mut self, entry: impl Into<TaggedLog>) -> bool {
         if self.is_full() {
             return false;
         }
-        self.entries.push_back(log);
+        self.entries.push_back(entry.into());
         self.pushes += 1;
         self.max_occupancy = self.max_occupancy.max(self.entries.len());
         true
@@ -80,8 +98,13 @@ impl CfiQueue {
 
     /// Like [`CfiQueue::push`], marking the push on the queue timeline
     /// track and sampling the resulting occupancy.
-    pub fn push_probed(&mut self, log: CommitLog, cycle: u64, probe: &mut dyn Probe) -> bool {
-        let pushed = self.push(log);
+    pub fn push_probed(
+        &mut self,
+        entry: impl Into<TaggedLog>,
+        cycle: u64,
+        probe: &mut dyn Probe,
+    ) -> bool {
+        let pushed = self.push(entry);
         if pushed {
             probe.log_accepted(cycle);
         }
@@ -99,42 +122,31 @@ impl CfiQueue {
 
     /// Pops the oldest log.
     #[inline]
-    pub fn pop(&mut self) -> Option<CommitLog> {
+    pub fn pop(&mut self) -> Option<TaggedLog> {
         self.entries.pop_front()
     }
 
     /// Like [`CfiQueue::pop`], marking the pop on the queue timeline track
     /// and sampling the resulting occupancy.
-    pub fn pop_probed(&mut self, cycle: u64, probe: &mut dyn Probe) -> Option<CommitLog> {
-        let log = self.pop();
-        if log.is_some() && probe.enabled() {
+    pub fn pop_probed(&mut self, cycle: u64, probe: &mut dyn Probe) -> Option<TaggedLog> {
+        let entry = self.pop();
+        if entry.is_some() && probe.enabled() {
             probe.instant(Track::Queue, "pop", cycle);
             probe.counter_sample("queue.occupancy", cycle, self.len() as u64);
         }
-        log
+        entry
     }
 
     /// Peeks at the oldest log without removing it.
     #[must_use]
     #[inline]
-    pub fn front(&self) -> Option<&CommitLog> {
+    pub fn front(&self) -> Option<&TaggedLog> {
         self.entries.front()
     }
 }
 
-/// Commit-stage back-pressure decision for one cycle.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum StallReason {
-    /// No stall: commits proceed.
-    None,
-    /// The CFI queue is full.
-    QueueFull,
-    /// Both commit ports retired a control-flow instruction this cycle and
-    /// the queue accepts only one push per cycle.
-    DualControlFlow,
-}
-
-/// The Queue Controller: owns the stall policy and its counters.
+/// The Queue Controller's stall counters. The stall policy itself is
+/// applied by the SoC run loop at each queue push.
 #[derive(Debug, Clone, Default)]
 pub struct QueueController {
     /// Cycles stalled because the queue was full.
@@ -148,39 +160,6 @@ impl QueueController {
     #[must_use]
     pub fn new() -> QueueController {
         QueueController::default()
-    }
-
-    /// Evaluates the stall condition for a cycle in which `cf_this_cycle`
-    /// control-flow logs want to enter the queue.
-    pub fn evaluate(&mut self, queue: &CfiQueue, cf_this_cycle: usize) -> StallReason {
-        self.evaluate_probed(queue, cf_this_cycle, &mut NoProbe)
-    }
-
-    /// Like [`QueueController::evaluate`], attributing the stall decision
-    /// to the `stall.*` probe counters.
-    pub fn evaluate_probed(
-        &mut self,
-        queue: &CfiQueue,
-        cf_this_cycle: usize,
-        probe: &mut dyn Probe,
-    ) -> StallReason {
-        if cf_this_cycle > 1 {
-            self.stalls_dual_cf += 1;
-            probe.counter_add("stall.dual_cf", 1);
-            return StallReason::DualControlFlow;
-        }
-        if cf_this_cycle == 1 && queue.is_full() {
-            self.stalls_queue_full += 1;
-            probe.counter_add("stall.queue_full", 1);
-            return StallReason::QueueFull;
-        }
-        StallReason::None
-    }
-
-    /// Total stall events recorded.
-    #[must_use]
-    pub fn total_stalls(&self) -> u64 {
-        self.stalls_queue_full + self.stalls_dual_cf
     }
 }
 
@@ -203,11 +182,23 @@ mod tests {
         for pc in [10, 20, 30] {
             assert!(q.push(log(pc)));
         }
-        assert_eq!(q.pop().map(|l| l.pc), Some(10));
-        assert_eq!(q.pop().map(|l| l.pc), Some(20));
-        assert_eq!(q.front().map(|l| l.pc), Some(&30).copied());
-        assert_eq!(q.pop().map(|l| l.pc), Some(30));
+        assert_eq!(q.pop().map(|e| e.log.pc), Some(10));
+        assert_eq!(q.pop().map(|e| e.log.pc), Some(20));
+        assert_eq!(q.front().map(|e| e.log.pc), Some(30));
+        assert_eq!(q.pop().map(|e| e.log.pc), Some(30));
         assert!(q.pop().is_none());
+    }
+
+    #[test]
+    fn entries_keep_their_source_core() {
+        let mut q = CfiQueue::new(2);
+        q.push(log(1));
+        q.push(TaggedLog {
+            core: 1,
+            log: log(2),
+        });
+        assert_eq!(q.pop().map(|e| e.core), Some(0), "a bare log is core 0's");
+        assert_eq!(q.pop().map(|e| e.core), Some(1));
     }
 
     #[test]
@@ -236,29 +227,5 @@ mod tests {
     #[should_panic(expected = "depth")]
     fn zero_depth_rejected() {
         let _ = CfiQueue::new(0);
-    }
-
-    #[test]
-    fn controller_stalls_on_full_queue() {
-        let mut q = CfiQueue::new(1);
-        q.push(log(1));
-        let mut qc = QueueController::new();
-        assert_eq!(qc.evaluate(&q, 1), StallReason::QueueFull);
-        assert_eq!(
-            qc.evaluate(&q, 0),
-            StallReason::None,
-            "no CF, no stall even when full"
-        );
-        q.pop();
-        assert_eq!(qc.evaluate(&q, 1), StallReason::None);
-        assert_eq!(qc.stalls_queue_full, 1);
-    }
-
-    #[test]
-    fn controller_stalls_on_dual_cf() {
-        let q = CfiQueue::new(8);
-        let mut qc = QueueController::new();
-        assert_eq!(qc.evaluate(&q, 2), StallReason::DualControlFlow);
-        assert_eq!(qc.stalls_dual_cf, 1);
     }
 }

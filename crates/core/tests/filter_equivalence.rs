@@ -1,11 +1,11 @@
 //! Property test: for random windows of retired instructions, the strict
-//! commit path (`scan` on every retirement) and the fast-forward commit path
-//! (`scan_classified` for control flow + one bulk `note_straightline` for
-//! the skipped straight-line run) must account the exact same counters and
-//! emit byte-identical commit logs.
+//! commit path (`scan` on every retirement) and the batched commit path of
+//! block dispatch (`scan_classified` for control flow + one bulk
+//! `note_straightline` for the skipped straight-line run) must account the
+//! exact same counters and emit byte-identical commit logs.
 //!
 //! This is the filter-level core of the differential-fuzzing oracle: if
-//! these two paths ever drift, every fast-forwarded SoC run silently stops
+//! these two paths ever drift, every block-mode SoC run silently stops
 //! being comparable to the strict reference.
 
 use riscv_isa::{classify, decode, encode, BranchCond, Inst, Reg, Retired, Xlen};
@@ -99,9 +99,9 @@ fn strict_and_fast_forward_paths_account_identically() {
         let mut strict = CfiFilter::new();
         let strict_logs: Vec<CommitLog> = window.iter().filter_map(|r| strict.scan(r)).collect();
 
-        // Fast-forward path: the quantum stepper batches straight-line runs
-        // and only presents control flow to the filter, then accounts the
-        // skipped retirements in bulk.
+        // Batched path: block dispatch retires straight-line runs and only
+        // presents control flow to the filter, then accounts the skipped
+        // retirements in bulk.
         let mut fast = CfiFilter::new();
         let mut fast_logs: Vec<CommitLog> = Vec::new();
         let mut straightline = 0u64;

@@ -42,9 +42,6 @@ pub struct CoreStats {
     pub cf_retired: u64,
     /// Cycles in which both commit ports retired (dual commit).
     pub dual_commits: u64,
-    /// Cycles in which both ports retired a *control-flow* instruction —
-    /// the conflict case the Queue Controller must stall on.
-    pub dual_cf_commits: u64,
     /// Stall cycles injected by the CFI back-pressure interface.
     pub cfi_stall_cycles: u64,
 }
@@ -176,16 +173,16 @@ impl<B: Bus> Cva6Core<B> {
         self.decode_cache.invalidate_all();
     }
 
-    /// Replaces the decode and block caches with freshly-sized ones
-    /// (rounded up to powers of two, min 16 each). The defaults cover
-    /// kernel-sized images; a fleet of thousands of small-guest cores
+    /// Resizes the decode and block caches (rounded up to powers of two,
+    /// min 16 each; a cache already of that size is kept). The defaults
+    /// cover kernel-sized images; a fleet of thousands of small-guest cores
     /// right-sizes down so per-core footprint — and the host cache
     /// pressure of simulating many cores on one machine — shrinks by an
     /// order of magnitude. Architecturally invisible, like the caches
     /// themselves: any entries are simply re-predecoded on demand.
     pub fn resize_caches(&mut self, decode_slots: usize, block_slots: usize) {
-        self.decode_cache = DecodeCache::new(decode_slots);
-        self.block_cache = BlockCache::new(block_slots);
+        self.decode_cache.resize(decode_slots);
+        self.block_cache.resize(block_slots);
     }
 
     /// Whether the predecode fast path is active.

@@ -1,9 +1,10 @@
 //! Differential fuzzing for the TitanCFI co-simulation.
 //!
-//! The simulator has four execution strategies that must be observationally
-//! identical (strict per-cycle stepping, predecoded instruction caches,
-//! quantum-batched fast-forwarding, and the dual-core scheduler) plus a
-//! resilience layer that must be provably inert on a fault-free transport.
+//! The simulator has execution strategies that must be observationally
+//! identical (strict per-cycle stepping, observed per-cycle stepping over
+//! the predecoded instruction caches, block-compiled dispatch, and the
+//! dual-core scheduler) plus a resilience layer that must be provably
+//! inert on a fault-free transport.
 //! Until now every equivalence claim was pinned by hand-picked kernels;
 //! this crate replaces that with *generated* coverage:
 //!
@@ -13,7 +14,7 @@
 //!   compressed and uncompressed encodings) that always terminates, emitted
 //!   as `riscv-asm` source.
 //! * [`oracle`] — runs one program under the full configuration matrix
-//!   (strict vs predecode vs fast-forward × IRQ vs polling firmware ×
+//!   (strict vs observed vs block-compiled × IRQ vs polling firmware ×
 //!   resilience armed vs [`titancfi::ResilienceConfig::off`], plus the
 //!   dual-core SoC) and demands byte-identical commit-log streams,
 //!   shadow-stack verdicts, and report fingerprints. Corruption variants

@@ -2,11 +2,12 @@
 //!
 //! One generated program is run under the full configuration matrix:
 //!
-//! * **Execution strategy** — strict per-cycle stepping, predecoded
-//!   instruction caches without batching, the fast-forward path
-//!   (predecode with quantum batching), and block-compiled dispatch
-//!   (superblock translation cache + event-driven background scheduling).
-//!   All four must agree on *everything*, including cycle counts.
+//! * **Execution strategy** — strict per-cycle stepping, the observed
+//!   path (the block configuration with a latency collector attached,
+//!   which steps per cycle over the predecoded instruction caches), and
+//!   block-compiled dispatch (superblock translation cache + event-driven
+//!   background scheduling). All three must agree on *everything*,
+//!   including cycle counts.
 //! * **Firmware** — IRQ vs polling RoT firmware. Check latencies differ,
 //!   so only the timing-independent ("portable") fingerprint must agree:
 //!   halt reason, retired instruction count, filter counters, the full
@@ -15,8 +16,8 @@
 //!   fault-free transport the layer must be provably inert: the *entire*
 //!   report, cycles included, must be identical.
 //! * **Topology** — the dual-core SoC running the same program on both
-//!   cores, strict vs fast path. Both cores' tagged streams must equal the
-//!   single-core strict stream log for log.
+//!   cores, strict vs block-compiled. Both cores' tagged streams must
+//!   equal the single-core strict stream log for log.
 //!
 //! Corruption variants invert the final check along the **policy
 //! dimension**: the reference stream is replayed through the golden-model
@@ -41,21 +42,20 @@ use titancfi_soc::{DualHostSoc, SocConfig, SystemOnChip, CORES};
 pub enum ExecMode {
     /// Reference semantics: per-cycle stepping, raw decode.
     Strict,
-    /// Predecoded instruction caches, no quantum batching.
-    Predecode,
-    /// Predecode + quantum-batched stepping (`SocConfig::fast_path`).
-    FastForward,
-    /// Fast forward plus the superblock translation cache and event-driven
-    /// background scheduling (`SocConfig::block_compile`).
+    /// The block configuration with a latency collector attached, which
+    /// forces per-cycle stepping over the predecoded instruction caches —
+    /// the path every observed run takes.
+    Observed,
+    /// Superblock translation cache plus event-driven background
+    /// scheduling (`SocConfig::fast_path` + `SocConfig::block_compile`).
     BlockCompiled,
 }
 
 impl ExecMode {
-    /// All four rungs, reference first.
-    pub const ALL: [ExecMode; 4] = [
+    /// All three rungs, reference first.
+    pub const ALL: [ExecMode; 3] = [
         ExecMode::Strict,
-        ExecMode::Predecode,
-        ExecMode::FastForward,
+        ExecMode::Observed,
         ExecMode::BlockCompiled,
     ];
 }
@@ -65,7 +65,7 @@ impl ExecMode {
 pub struct MatrixConfig {
     /// Host cycle budget per run (generated programs finish far below it).
     pub budget: u64,
-    /// Also run the dual-core SoC (strict vs fast + single-core cross
+    /// Also run the dual-core SoC (strict vs block + single-core cross
     /// check).
     pub multicore: bool,
 }
@@ -273,8 +273,8 @@ fn soc_config(fw: FirmwareKind, resilience: ResilienceConfig, mode: ExecMode) ->
         firmware: fw,
         mem_size: FUZZ_MEM,
         resilience,
-        fast_path: matches!(mode, ExecMode::FastForward | ExecMode::BlockCompiled),
-        block_compile: matches!(mode, ExecMode::BlockCompiled),
+        fast_path: mode != ExecMode::Strict,
+        block_compile: mode != ExecMode::Strict,
         ..SocConfig::default()
     }
 }
@@ -287,7 +287,9 @@ fn run_single(
     budget: u64,
 ) -> CaseOutcome {
     let mut soc = SystemOnChip::new(prog, soc_config(fw, resilience, mode));
-    soc.set_predecode(!matches!(mode, ExecMode::Strict));
+    if mode == ExecMode::Observed {
+        soc.attach_latency();
+    }
     soc.enable_log_tap();
     let report = soc.run(budget);
     let stream = soc.take_log_tap().expect("tap was enabled");
@@ -325,27 +327,18 @@ struct DualOutcome {
     per_core_violations: [Vec<CommitLog>; CORES],
 }
 
-/// Dual-core stepping rung: strict, quantum-batched, or block-compiled.
+/// Dual-core stepping rung: strict or block-compiled.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum DualMode {
     Strict,
-    Fast,
     Block,
 }
 
 fn run_dual(prog: &Program, mode: DualMode, budget: u64) -> DualOutcome {
     let mut soc = DualHostSoc::new([prog, prog], FUZZ_MEM, 8);
-    match mode {
-        DualMode::Strict => soc.set_predecode_only(false),
-        DualMode::Fast => {
-            soc.set_fast_path(true);
-            soc.set_block_compile(false);
-        }
-        DualMode::Block => {
-            soc.set_fast_path(true);
-            soc.set_block_compile(true);
-        }
-    }
+    let block = mode == DualMode::Block;
+    soc.set_fast_path(block);
+    soc.set_block_compile(block);
     soc.enable_log_tap();
     let report = soc.run(budget);
     let tagged = soc.take_log_tap().expect("tap was enabled");
@@ -358,14 +351,7 @@ fn run_dual(prog: &Program, mode: DualMode, budget: u64) -> DualOutcome {
         violations[v.core as usize].push(v.log);
     }
     DualOutcome {
-        label: format!(
-            "dual/{}",
-            match mode {
-                DualMode::Strict => "strict",
-                DualMode::Fast => "fast",
-                DualMode::Block => "block",
-            }
-        ),
+        label: format!("dual/{}", if block { "block" } else { "strict" }),
         halts: [0, 1].map(|i| format!("{:?}", report.cores[i].halt)),
         cycles: [0, 1].map(|i| report.cores[i].cycles),
         cf_streamed: [0, 1].map(|i| report.cores[i].cf_streamed),
@@ -501,16 +487,14 @@ pub fn check_source(
 
     if matrix.multicore {
         let strict = run_dual(&prog, DualMode::Strict, matrix.budget);
-        for mode in [DualMode::Fast, DualMode::Block] {
-            let other = run_dual(&prog, mode, matrix.budget);
-            let mut relabel = other.clone();
-            relabel.label = strict.label.clone();
-            if strict != relabel {
-                return Err(diverge(format!(
-                    "dual-core strict vs {} diverge:\n  {strict:?}\n  {other:?}",
-                    other.label
-                )));
-            }
+        let block = run_dual(&prog, DualMode::Block, matrix.budget);
+        let mut relabel = block.clone();
+        relabel.label = strict.label.clone();
+        if strict != relabel {
+            return Err(diverge(format!(
+                "dual-core strict vs {} diverge:\n  {strict:?}\n  {block:?}",
+                block.label
+            )));
         }
         for core in 0..CORES {
             if strict.per_core_streams[core] != reference.stream {

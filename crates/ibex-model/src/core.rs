@@ -132,14 +132,14 @@ impl IbexCore {
         self.decode_cache.invalidate_all();
     }
 
-    /// Replaces the decode and block caches with freshly-sized ones
-    /// (rounded up to powers of two, min 16 each). The defaults cover
-    /// kernel-sized firmware; embedders simulating many RoTs at once
+    /// Resizes the decode and block caches (rounded up to powers of two,
+    /// min 16 each; a cache already of that size is kept). The defaults
+    /// cover kernel-sized firmware; embedders simulating many RoTs at once
     /// right-size down to the firmware actually booted. Architecturally
     /// invisible — entries re-predecode on demand.
     pub fn resize_caches(&mut self, decode_slots: usize, block_slots: usize) {
-        self.decode_cache = DecodeCache::new(decode_slots);
-        self.block_cache = BlockCache::new(block_slots);
+        self.decode_cache.resize(decode_slots);
+        self.block_cache.resize(block_slots);
     }
 
     /// Whether the predecode fast path is active.

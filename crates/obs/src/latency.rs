@@ -35,7 +35,7 @@
 //!
 //! All stamps come from the simulation cycle counter, never the wall
 //! clock, so every distribution here is byte-identical across reruns and
-//! across the {strict, predecode, fast-forward} stepping modes. The
+//! with the simulator fast path on or off. The
 //! collector is pure bookkeeping over `u64`s: attaching it does not
 //! perturb the simulation (fingerprint-pinned in `tests/latency_spans.rs`).
 

@@ -237,6 +237,15 @@ impl CfiMailbox {
         self.shared.lock().expect("mailbox lock").doorbell
     }
 
+    /// The doorbell and completion flags, read under one lock — what an
+    /// event-driven scheduler checks after each RoT access to the SoC
+    /// fabric.
+    #[must_use]
+    pub fn doorbell_and_completion(&self) -> (bool, bool) {
+        let s = self.shared.lock().expect("mailbox lock");
+        (s.doorbell, s.completion)
+    }
+
     /// Total doorbells rung (one per streamed commit log).
     #[must_use]
     pub fn doorbells_rung(&self) -> u64 {

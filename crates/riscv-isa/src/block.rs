@@ -46,7 +46,7 @@
 //! direct-mapped like the decode cache: conflicting entry pcs overwrite
 //! each other, losing only cached work, never correctness.
 
-use crate::predecode::Predecoded;
+use crate::predecode::{slot_count, Predecoded};
 
 /// Slot-empty tag — no instruction can live at the top of the address space.
 const EMPTY: u64 = u64::MAX;
@@ -110,12 +110,20 @@ impl BlockCache {
     /// A cache with `slots` entries (rounded up to a power of two, min 16).
     #[must_use]
     pub fn new(slots: usize) -> BlockCache {
-        let n = slots.next_power_of_two().max(16);
+        let n = slot_count(slots);
         BlockCache {
             slots: vec![VACANT; n],
             mask: n as u64 - 1,
             arena: Vec::new(),
             stats: BlockCacheStats::default(),
+        }
+    }
+
+    /// Rebuilds the cache empty with `slots` entries (rounded as in
+    /// [`BlockCache::new`]), unless it already has that many.
+    pub fn resize(&mut self, slots: usize) {
+        if self.slots.len() != slot_count(slots) {
+            *self = BlockCache::new(slots);
         }
     }
 

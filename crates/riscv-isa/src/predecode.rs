@@ -32,7 +32,7 @@ use crate::inst::Inst;
 use std::sync::atomic::{AtomicBool, Ordering};
 
 /// Process-wide default for the simulator fast path (predecode caches and
-/// quantum batching). Newly constructed cores and `SocConfig`s sample it;
+/// block-compiled dispatch). Newly constructed cores and `SocConfig`s sample it;
 /// flipping it never affects already-built cores.
 static FAST_PATH_DEFAULT: AtomicBool = AtomicBool::new(true);
 
@@ -115,6 +115,11 @@ pub struct DecodeCacheStats {
 /// the address space, so it never collides with a real pc.
 const EMPTY: u64 = u64::MAX;
 
+/// Slots of a cache asked for `slots`: rounded up to a power of two, min 16.
+pub(crate) fn slot_count(slots: usize) -> usize {
+    slots.next_power_of_two().max(16)
+}
+
 /// Direct-mapped, pc-keyed cache of [`Predecoded`] entries.
 ///
 /// Indexing uses `(pc >> 1) & mask` — instructions are at least 2-byte
@@ -151,7 +156,7 @@ impl DecodeCache {
     /// A cache with `slots` entries (rounded up to a power of two, min 16).
     #[must_use]
     pub fn new(slots: usize) -> DecodeCache {
-        let n = slots.next_power_of_two().max(16);
+        let n = slot_count(slots);
         let filler = Predecoded::new(Decoded {
             inst: Inst::NOP,
             len: 4,
@@ -165,6 +170,14 @@ impl DecodeCache {
             hi: 0,
             generation: 0,
             stats: DecodeCacheStats::default(),
+        }
+    }
+
+    /// Rebuilds the cache empty with `slots` entries (rounded as in
+    /// [`DecodeCache::new`]), unless it already has that many.
+    pub fn resize(&mut self, slots: usize) {
+        if self.tags.len() != slot_count(slots) {
+            *self = DecodeCache::new(slots);
         }
     }
 

@@ -37,7 +37,7 @@ pub struct HostBus {
     /// Accesses blocked by PMP (tamper attempts).
     pub pmp_denials: u64,
     /// Sticky flag: the host touched a device window (mailbox/SCMI) or was
-    /// denied by PMP since the last [`HostBus::take_io_access`]. The quantum
+    /// denied by PMP since the last [`HostBus::take_io_access`]. The block
     /// batcher breaks on it so device-visible timing matches strict stepping.
     io_access: bool,
 }

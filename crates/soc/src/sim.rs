@@ -8,16 +8,31 @@
 //! Ibex model. Queue back-pressure stalls the CVA6 commit stage exactly as
 //! in the paper (§IV-B2), and violations raised by the RoT surface as
 //! exceptions.
+//!
+//! One engine serves any number of host cores. Each core keeps its own CFI
+//! filter and halt state; all of them feed the one *background* — queue,
+//! Log Writer, mailbox, RoT and SCMI service — and the run loop steps the
+//! live core that is furthest behind. [`SystemOnChip`] is the single-core
+//! case, and `DualHostSoc` wraps the same engine around two cores.
+//!
+//! Two schedulers drive the engine, observationally identical:
+//!
+//! * **per-cycle** — the reference. Every host commit brings the background
+//!   up to its cycle one tick at a time. It runs predecoded when
+//!   [`SocConfig::fast_path`] is on, and it is the fallback whenever a
+//!   probe, a fault schedule, or a per-commit violation policy is active.
+//! * **block** — superblock dispatch on the host cores plus event-driven
+//!   background advances that jump over provably inert ticks.
 
 use crate::hostbus::HostBus;
-use cva6_model::{Cva6Core, Halt, TimingConfig};
+use cva6_model::{Commit, Cva6Core, Halt, TimingConfig};
 use opentitan_model::rot::LatencyProfile;
 use opentitan_model::{OpenTitan, ScmiWire, ScmiWireService};
 use riscv_asm::Program;
 use titancfi::firmware::{build_firmware, FirmwareKind};
 use titancfi::{
-    AxiTiming, Category, CfiFilter, CfiQueue, FailPolicy, LogWriter, Phase, QueueController,
-    ResilienceConfig, Violation, WriterState,
+    AxiTiming, Category, CfiFilter, CfiQueue, CommitLog, FailPolicy, LogWriter, Phase,
+    QueueController, ResilienceConfig, TaggedLog, Violation, WriterState,
 };
 use titancfi_faults::{CheckFault, FaultClass, FaultConfig, FaultInjector, FaultReport};
 use titancfi_obs::{Histogram, LatencyCollector, LatencySpans, NoProbe, Probe, Recorder, Track};
@@ -50,16 +65,15 @@ pub struct SocConfig {
     /// Fault-injection schedule for the CFI transport; `None` (or an
     /// all-zero-rate config) leaves the transport pristine.
     pub faults: Option<FaultConfig>,
-    /// Simulator fast path: predecoded instruction caches on both cores and
-    /// quantum-batched stepping between CFI events. Cycle-exact either way —
-    /// every report field is identical with the flag on or off (pinned by
-    /// `tests/decode_cache.rs`); off exists for A/B verification and as the
-    /// reference semantics. Defaults to the process-wide
-    /// [`riscv_isa::predecode::fast_path_default`].
+    /// Simulator fast path: predecoded instruction caches on every core.
+    /// Cycle-exact either way — every report field is identical with the
+    /// flag on or off (pinned by `tests/decode_cache.rs`); off exists for
+    /// A/B verification and as the reference semantics. Defaults to the
+    /// process-wide [`riscv_isa::predecode::fast_path_default`].
     pub fast_path: bool,
-    /// Superblock dispatch on the host core plus event-driven background
-    /// scheduling. Only consulted when the fast path is active (same
-    /// preconditions), and additionally disabled under
+    /// Superblock dispatch on the host cores plus event-driven background
+    /// scheduling. Only consulted when the fast path is active, and
+    /// disabled while a probe or fault schedule is attached or under
     /// `halt_on_violation` / `trap_host_on_violation`, which the reference
     /// semantics check at every commit. Cycle-exact like `fast_path` —
     /// pinned by `tests/decode_cache.rs` and the fuzz oracle's
@@ -67,12 +81,12 @@ pub struct SocConfig {
     /// [`riscv_isa::predecode::fast_path_default`].
     pub block_compile: bool,
     /// Decode-cache capacity (slots, rounded up to a power of two) applied
-    /// to both cores. The default covers kernel-sized firmware; fleet
+    /// to every core. The default covers kernel-sized firmware; fleet
     /// embedders simulating hundreds of SoCs right-size this down to the
     /// program actually run — the caches dominate per-instance memory and
     /// are architecturally invisible.
     pub decode_cache_slots: usize,
-    /// Block-cache capacity (slots) applied to both cores; see
+    /// Block-cache capacity (slots) applied to every core; see
     /// [`SocConfig::decode_cache_slots`].
     pub block_cache_slots: usize,
 }
@@ -160,32 +174,43 @@ impl SocReport {
     }
 }
 
-/// The composed system on chip.
+/// One monitored host core with its private commit-port state.
+#[derive(Debug)]
+pub(crate) struct Host {
+    pub(crate) core: Cva6Core<HostBus>,
+    pub(crate) filter: CfiFilter,
+    /// Why the core stopped, once it has.
+    pub(crate) halt: Option<Halt>,
+    /// Commit cycle of the core's last streamed log (dual-CF stall check).
+    last_cf_cycle: Option<u64>,
+}
+
+/// The composed system on chip: host cores sharing one CFI transport and
+/// RoT. Built by [`SystemOnChip::new`] with a single host core, which every
+/// public accessor refers to.
 #[derive(Debug)]
 pub struct SystemOnChip {
-    core: Cva6Core<HostBus>,
-    filter: CfiFilter,
+    pub(crate) hosts: Vec<Host>,
     queue: CfiQueue,
     controller: QueueController,
-    writer: LogWriter,
+    pub(crate) writer: LogWriter,
     rot: OpenTitan,
-    config: SocConfig,
+    pub(crate) config: SocConfig,
     bg_cycle: u64,
-    /// Block-mode carry-over: the RoT made an SoC access on the last tick
-    /// the event-driven advance processed, and the writer has not yet run
-    /// to observe a possible completion write. Forces one writer tick at
-    /// the head of the next [`SystemOnChip::advance_background_fast`].
+    /// Block-mode carry-over: the RoT's SoC access on the last tick the
+    /// event-driven advance processed left the completion flag set, and the
+    /// writer has not yet run to observe it. Forces one writer tick at the
+    /// head of the next [`SystemOnChip::advance_background_fast`].
     bg_poke: bool,
     /// Cached mailbox doorbell level as of the last event-driven advance.
-    /// Sound because the mailbox is PMP-protected (the host cannot ring
-    /// it), so the level only moves inside the advance loop itself — or in
+    /// Sound because the mailbox is PMP-protected (no host can ring it), so
+    /// the level only moves inside the advance loop itself — or in
     /// [`SystemOnChip::tick_once`], which marks the cache stale instead.
     bg_doorbell: bool,
     /// Forces a mailbox re-read at the next advance entry (set by the
     /// per-cycle tick path, whose writer/RoT activity bypasses the cache).
     bg_doorbell_stale: bool,
-    last_cf_cycle: Option<u64>,
-    violations: Vec<Violation>,
+    pub(crate) violations: Vec<Violation>,
     trapped_violations: usize,
     scmi_service: ScmiWireService,
     recorder: Option<Recorder>,
@@ -204,9 +229,10 @@ pub struct SystemOnChip {
     /// zero for IRQ firmware.
     poll_pc: u64,
     /// When enabled, every commit log pushed into the CFI queue is also
-    /// recorded here — purely observational (no timing effect), used by the
-    /// differential fuzzer to compare commit-log streams byte for byte.
-    log_tap: Option<Vec<titancfi::CommitLog>>,
+    /// recorded here, with its source core alongside — purely
+    /// observational (no timing effect), used by the differential fuzzer
+    /// to compare commit-log streams byte for byte.
+    pub(crate) log_tap: Option<(Vec<CommitLog>, Vec<u8>)>,
 }
 
 /// Static counter name for one (phase, category) firmware cycle cell —
@@ -232,42 +258,74 @@ impl SystemOnChip {
     /// boot.
     #[must_use]
     pub fn new(program: &Program, config: SocConfig) -> SystemOnChip {
-        let fw = build_firmware(config.firmware);
+        SystemOnChip::with_hosts(&[program], config, &build_firmware(config.firmware))
+    }
+
+    /// Builds the engine with one host core per program — core `i` runs
+    /// `programs[i]` in its own `config.mem_size` bytes of RAM — and boots
+    /// `fw` in the RoT to its idle point. `config.firmware` names the boot
+    /// protocol and latency profile `fw` follows.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a program does not fit host RAM or the firmware fails to
+    /// boot.
+    pub(crate) fn with_hosts(
+        programs: &[&Program],
+        config: SocConfig,
+        fw: &Program,
+    ) -> SystemOnChip {
         let profile = match config.firmware {
             FirmwareKind::Optimized => LatencyProfile::optimized(),
             _ => LatencyProfile::baseline(),
         };
-        let mut rot = OpenTitan::new(&fw, profile);
-        // Host bus: program RAM plus the host-visible mailbox window,
-        // locked down by PMP exactly as the paper's threat model assumes
-        // (software cannot tamper with in-flight commit logs; only the
-        // hardware Log Writer reaches the mailbox).
-        assert!(
-            program.bytes.len() <= config.mem_size,
-            "program ({} bytes) larger than memory ({})",
-            program.bytes.len(),
-            config.mem_size
-        );
-        let mut bus = HostBus::new(program.base, config.mem_size);
-        bus.load(program.base, &program.bytes);
-        bus.map_mailbox(rot.mailbox.clone());
-        bus.protect_mailbox();
+        let mut rot = OpenTitan::new(fw, profile);
         // The general SCMI system mailbox (host-accessible): version and
         // remote-attestation services, attesting the booted CFI firmware.
         let scmi = ScmiWire::new();
-        bus.map_scmi(scmi.clone());
-        let scmi_service = ScmiWireService::new(scmi, b"titancfi-attestation-key", &fw.bytes);
-        let mut core = Cva6Core::with_bus(bus, program.entry, config.timing);
-        core.hart_mut().set_reg(
-            riscv_isa::Reg::SP,
-            (program.base + config.mem_size as u64 - 16) & !0xf,
-        );
-        // Size the simulator caches before any instruction executes so the
-        // boot itself predecodes into the final-capacity tables.
-        core.resize_caches(config.decode_cache_slots, config.block_cache_slots);
+        let scmi_service =
+            ScmiWireService::new(scmi.clone(), b"titancfi-attestation-key", &fw.bytes);
+        let hosts = programs
+            .iter()
+            .map(|program| {
+                // Host bus: program RAM plus the host-visible mailbox
+                // window, locked down by PMP exactly as the paper's threat
+                // model assumes (software cannot tamper with in-flight
+                // commit logs; only the hardware Log Writer reaches the
+                // mailbox).
+                assert!(
+                    program.bytes.len() <= config.mem_size,
+                    "program ({} bytes) larger than memory ({})",
+                    program.bytes.len(),
+                    config.mem_size
+                );
+                let mut bus = HostBus::new(program.base, config.mem_size);
+                bus.load(program.base, &program.bytes);
+                bus.map_mailbox(rot.mailbox.clone());
+                bus.protect_mailbox();
+                bus.map_scmi(scmi.clone());
+                let mut core = Cva6Core::with_bus(bus, program.entry, config.timing);
+                core.hart_mut().set_reg(
+                    riscv_isa::Reg::SP,
+                    (program.base + config.mem_size as u64 - 16) & !0xf,
+                );
+                // Size the simulator caches before any instruction executes.
+                // Predecode is a per-core property of this SoC instance; pin
+                // it to the config rather than the global default so A/B
+                // runs in one process stay independent.
+                core.resize_caches(config.decode_cache_slots, config.block_cache_slots);
+                core.set_predecode(config.fast_path);
+                Host {
+                    core,
+                    filter: CfiFilter::new(),
+                    halt: None,
+                    last_cf_cycle: None,
+                }
+            })
+            .collect();
+        // The firmware boot predecodes into the final-capacity tables.
         rot.core
             .resize_caches(config.decode_cache_slots, config.block_cache_slots);
-        // Boot firmware to idle.
         match config.firmware {
             FirmwareKind::Irq => {
                 let (_, ev) = rot.core.run_until_idle(1_000_000);
@@ -287,10 +345,6 @@ impl SystemOnChip {
                 }
             }
         }
-        // Predecode is a per-core property of this SoC instance; pin it to
-        // the config rather than the global default so A/B runs in one
-        // process stay independent.
-        core.set_predecode(config.fast_path);
         rot.core.set_predecode(config.fast_path);
         let cfi_range = (
             fw.symbol("cfi_begin").expect("cfi_begin symbol"),
@@ -308,13 +362,16 @@ impl SystemOnChip {
         if let Some(inj) = &injector {
             writer.attach_injector(inj.clone());
         }
-        // The transport always runs with word-7 integrity on: it costs no
-        // cycles (the word rides the final AXI beat) and catches in-flight
-        // corruption before the RoT ever sees it.
-        rot.mailbox.enable_integrity();
+        // A single host's transport runs with word-7 integrity on: it costs
+        // no cycles (the word rides the final AXI beat) and catches
+        // in-flight corruption before the RoT ever sees it. With several
+        // hosts word 7 carries the source core id instead, which the banked
+        // firmware reads to pick a shadow stack.
+        if programs.len() == 1 {
+            rot.mailbox.enable_integrity();
+        }
         SystemOnChip {
-            core,
-            filter: CfiFilter::new(),
+            hosts,
             queue: CfiQueue::new(config.queue_depth),
             controller: QueueController::new(),
             writer,
@@ -324,7 +381,6 @@ impl SystemOnChip {
             bg_poke: false,
             bg_doorbell: false,
             bg_doorbell_stale: true,
-            last_cf_cycle: None,
             violations: Vec::new(),
             trapped_violations: 0,
             scmi_service,
@@ -343,23 +399,26 @@ impl SystemOnChip {
     /// is a pure observer — it records at the existing push site and does
     /// not change scheduling, batching legality, or any report field.
     pub fn enable_log_tap(&mut self) {
-        self.log_tap = Some(Vec::new());
+        self.log_tap = Some((Vec::new(), Vec::new()));
     }
 
     /// Detaches and returns the captured commit-log stream, if a tap was
     /// enabled.
-    pub fn take_log_tap(&mut self) -> Option<Vec<titancfi::CommitLog>> {
-        self.log_tap.take()
+    pub fn take_log_tap(&mut self) -> Option<Vec<CommitLog>> {
+        self.log_tap.take().map(|(logs, _)| logs)
     }
 
     /// Drains the logs captured since the last drain, leaving the tap
     /// enabled — the incremental form [`SystemOnChip::run_slice`] callers
     /// (fleet devices) use between slices. Returns an empty vector when no
     /// tap is enabled.
-    pub fn drain_log_tap(&mut self) -> Vec<titancfi::CommitLog> {
+    pub fn drain_log_tap(&mut self) -> Vec<CommitLog> {
         self.log_tap
             .as_mut()
-            .map(std::mem::take)
+            .map(|(logs, cores)| {
+                cores.clear();
+                std::mem::take(logs)
+            })
             .unwrap_or_default()
     }
 
@@ -374,14 +433,15 @@ impl SystemOnChip {
     /// [`SystemOnChip::run_slice`] calls, before a report exists.
     #[must_use]
     pub fn cycles(&self) -> u64 {
-        self.core.cycle()
+        self.hosts[0].core.cycle()
     }
 
-    /// Sets the predecoded-decode caches on both cores *without* touching
-    /// the quantum-batching scheduler (`config.fast_path`) — the middle rung
-    /// of the strict / predecode / fast-forward differential matrix.
-    pub fn set_predecode(&mut self, on: bool) {
-        self.core.set_predecode(on);
+    /// Sets [`SocConfig::fast_path`] after construction, on every core.
+    pub(crate) fn set_fast_path(&mut self, on: bool) {
+        self.config.fast_path = on;
+        for host in &mut self.hosts {
+            host.core.set_predecode(on);
+        }
         self.rot.core.set_predecode(on);
     }
 
@@ -410,10 +470,10 @@ impl SystemOnChip {
 
     /// Attaches the lightweight per-log latency collector — lifecycle
     /// boundary stamps only, no timeline or metric registry. Like a full
-    /// recorder it forces strict (per-cycle) scheduling, which is
-    /// observationally identical to the batched fast path (pinned by
-    /// `tests/decode_cache.rs`), so every report field and all latency
-    /// stamps are byte-identical across stepping modes.
+    /// recorder it forces per-cycle scheduling, which is observationally
+    /// identical to block dispatch (pinned by `tests/decode_cache.rs`), so
+    /// every report field and all latency stamps are byte-identical across
+    /// stepping modes.
     pub fn attach_latency(&mut self) {
         self.latency = Some(LatencyCollector::new());
     }
@@ -569,7 +629,7 @@ impl SystemOnChip {
         } else if self.bg_cycle >= until {
             return;
         }
-        // The host core is frozen for the whole advance, so a pending SCMI
+        // The host cores are frozen for the whole advance, so a pending SCMI
         // request is served once up front — when the first per-tick poll
         // would have run it. (SCMI and the CFI transport never interact.)
         self.scmi_service.poll();
@@ -603,7 +663,7 @@ impl SystemOnChip {
                 self.bg_doorbell = doorbell;
                 return;
             }
-            // True idleness: nothing moves until the host acts again. A
+            // True idleness: nothing moves until a host acts again. A
             // pending poke tick would be a no-op here (idle writer, empty
             // queue), so it is dropped rather than carried.
             if self.queue.is_empty() && !self.writer.busy() && !doorbell {
@@ -683,9 +743,11 @@ impl SystemOnChip {
                             // The RoT may have written its completion word
                             // (auto-clearing the doorbell); the writer must
                             // observe it on the next tick, as it would when
-                            // ticked every cycle.
-                            poke = true;
-                            let db = self.rot.mailbox.doorbell_pending();
+                            // ticked every cycle. Without a completion that
+                            // tick is a no-op: every other writer event is
+                            // on its own schedule.
+                            let (db, completion) = self.rot.mailbox.doorbell_and_completion();
+                            poke = completion;
                             if db != doorbell {
                                 doorbell = db;
                                 self.rot.sync_irq_level(doorbell);
@@ -706,22 +768,27 @@ impl SystemOnChip {
         }
     }
 
-    /// One host-core step in the configured dispatch mode: plain stepping,
-    /// or whole superblocks with the skipped straight-line retirements
-    /// accounted to the filter (the hardware scans every retirement).
-    fn host_step(&mut self, block: bool, until: u64) -> Result<cva6_model::Commit, Halt> {
-        if !block {
-            return self.core.step();
+    /// One commit of host `i` in the configured dispatch mode: a plain
+    /// step, or a whole superblock bounded by `until` with the skipped
+    /// straight-line retirements accounted to the filter (the hardware
+    /// scans every retirement).
+    fn host_step(&mut self, i: usize, block: bool, until: u64) -> Result<Commit, Halt> {
+        let host = &mut self.hosts[i];
+        // A bound one cycle ahead admits a single commit before the core
+        // must yield; a plain step retires it without the block lookup.
+        if !block || until <= host.core.cycle() + 1 {
+            return host.core.step();
         }
-        let bs = self.core.step_block(until);
+        let bs = host.core.step_block(until);
         if bs.straightline > 0 {
-            self.filter.note_straightline(bs.straightline);
+            host.filter.note_straightline(bs.straightline);
             if bs.result.is_err() {
                 // The failing op retired nothing, but the straight-line ops
                 // before it did: bring the background up to the last
                 // retirement, exactly where per-op stepping would have left
                 // it at the halt.
-                self.advance_background_fast(self.core.cycle(), false);
+                let cycle = host.core.cycle();
+                self.advance_background_fast(cycle, false);
             }
         }
         bs.result
@@ -752,7 +819,7 @@ impl SystemOnChip {
     }
 
     /// The recorded firmware trap, if any.
-    fn firmware_trap(&self) -> Option<riscv_isa::Trap> {
+    pub(crate) fn firmware_trap(&self) -> Option<riscv_isa::Trap> {
         match self.rot_health {
             RotHealth::Trapped(t) => Some(t),
             _ => None,
@@ -767,193 +834,223 @@ impl SystemOnChip {
         self.finish(halt)
     }
 
-    /// Advances the co-simulation until the host core reaches `until_cycle`
-    /// (absolute) or halts for a real reason. Returns `None` at the cycle
-    /// limit with all state intact — calling again with a later limit
-    /// resumes exactly where this slice paused, which is how a fleet device
-    /// runs thousands of cheap, pausable SoC snapshots on one scheduler.
+    /// The live core that is furthest behind (ties go to the lower index) —
+    /// the one the interleaving scheduler steps next.
+    fn next_host(&self) -> Option<usize> {
+        (0..self.hosts.len())
+            .filter(|&i| self.hosts[i].halt.is_none())
+            .min_by_key(|&i| self.hosts[i].core.cycle())
+    }
+
+    /// The cycle at which host `i` must yield: `budget`, or where another
+    /// live core becomes the one furthest behind — at a lower-indexed
+    /// core's cycle, or one past a higher-indexed core's (ties go to the
+    /// lower index).
+    fn yield_cycle(&self, i: usize, budget: u64) -> u64 {
+        self.hosts
+            .iter()
+            .enumerate()
+            .filter(|&(j, host)| j != i && host.halt.is_none())
+            .map(|(j, host)| host.core.cycle() + u64::from(j > i))
+            .fold(budget, u64::min)
+    }
+
+    /// Stops every core that is still running with `halt`.
+    pub(crate) fn halt_live(&mut self, halt: Halt) {
+        for host in &mut self.hosts {
+            host.halt.get_or_insert(halt);
+        }
+    }
+
+    /// Advances the co-simulation until every host core reaches
+    /// `until_cycle` (absolute) or halts for a real reason. Returns `None`
+    /// at the cycle limit with all state intact — calling again with a
+    /// later limit resumes exactly where this slice paused, which is how a
+    /// fleet device runs thousands of cheap, pausable SoC snapshots on one
+    /// scheduler. Once every core has halted it returns core 0's halt.
     /// In-flight transport work is *not* drained between slices; call
     /// [`SystemOnChip::finish`] once a `Some` halt (or the final slice)
     /// arrives.
     pub fn run_slice(&mut self, until_cycle: u64) -> Option<Halt> {
-        // Quantum batching is legal only when nothing can observe the
-        // skipped per-commit boundaries: no probe recording per-cycle
-        // samples, no fault schedule waiting on transport events.
-        let fast = self.config.fast_path
+        // Block dispatch is legal only when nothing can observe the skipped
+        // per-commit boundaries: no probe recording per-cycle samples, no
+        // fault schedule waiting on transport events, and no halt- or
+        // trap-on-violation policy, which the reference semantics check at
+        // every commit boundary.
+        let block = self.config.fast_path
+            && self.config.block_compile
             && self.recorder.is_none()
             && self.latency.is_none()
-            && self.injector.is_none();
-        // Superblock dispatch additionally requires that no per-commit
-        // policy can fire between straight-line retirements: halt- and
-        // trap-on-violation are checked at every commit boundary in the
-        // reference semantics, so block mode leaves them to the per-op
-        // scheduler.
-        let block = fast
-            && self.config.block_compile
+            && self.injector.is_none()
             && !self.config.halt_on_violation
             && !self.config.trap_host_on_violation;
-        let halt = loop {
-            if self.core.cycle() >= until_cycle {
+        loop {
+            let Some(i) = self.next_host() else {
+                return self.hosts[0].halt;
+            };
+            if self.hosts[i].core.cycle() >= until_cycle {
                 return None;
             }
-            if let Some(t) = self.firmware_trap() {
-                if self.config.resilience.policy == FailPolicy::FailClosed {
-                    // Fail closed: a dead checker means an unchecked host;
-                    // stop the run and surface the trap structurally.
-                    break Halt::FirmwareTrap(t);
-                }
-            }
-            if self.config.halt_on_violation && !self.violations.is_empty() {
-                break Halt::Breakpoint;
-            }
-            match self.host_step(block, until_cycle) {
-                Ok(commit) => {
-                    let mut commit = commit;
-                    let mut batch_halt = None;
-                    // Quantum batching: with the transport fully idle (empty
-                    // queue, idle writer, no doorbell, no undelivered
-                    // violation) the background cannot make progress, so
-                    // straight-line commits are retired in a tight loop up
-                    // to the next CFI-relevant commit, host device access,
-                    // budget boundary, or halt. `advance_background` then
-                    // jumps once — its idle fast-forward makes chunked and
-                    // per-commit advancement equivalent. Block mode batches
-                    // through *busy* transport phases too: the host and the
-                    // background only interact at queue pushes (CFI-relevant
-                    // commits) and device-window accesses, and superblocks
-                    // end at both, so deferring the catch-up to the batch
-                    // boundary composes to the same state.
-                    if fast
-                        && (block
-                            || (self.queue.is_empty()
-                                && !self.writer.busy()
-                                && !self.rot.mailbox.doorbell_pending()
-                                && (!self.config.trap_host_on_violation
-                                    || self.violations.len() == self.trapped_violations)))
-                    {
-                        loop {
-                            if commit.cf_class.is_cfi_relevant()
-                                || self.core.bus_mut().take_io_access()
-                                || self.core.cycle() >= until_cycle
-                            {
-                                break;
-                            }
-                            // The filter hardware scans every retirement;
-                            // account the skipped straight-line ones.
-                            self.filter.note_straightline(1);
-                            match self.host_step(block, until_cycle) {
-                                Ok(c) => commit = c,
-                                Err(h) => {
-                                    batch_halt = Some(h);
-                                    break;
-                                }
-                            }
-                        }
-                    }
-                    if block {
-                        self.advance_background_fast(commit.cycle, false);
-                    } else {
-                        self.advance_background(commit.cycle);
-                    }
-                    if let Some(h) = batch_halt {
-                        // The halting instruction retired nothing; the last
-                        // commit was straight-line and already accounted.
-                        break h;
-                    }
-                    // Deliver any violation the background machinery found
-                    // while this instruction was in flight.
-                    if self.config.trap_host_on_violation
-                        && self.violations.len() > self.trapped_violations
-                    {
-                        let v = self.violations[self.trapped_violations];
-                        self.trapped_violations = self.violations.len();
-                        self.core
-                            .inject_exception(CFI_VIOLATION_CAUSE, v.log.target);
-                    }
-                    if let Some(log) = self
-                        .filter
-                        .scan_classified(&commit.retired, commit.cf_class)
-                    {
-                        if let Some(tap) = self.log_tap.as_mut() {
-                            tap.push(log);
-                        }
-                        // Dual-CF conflict: two CF logs in the same commit
-                        // cycle cannot both be pushed (paper §IV-B2).
-                        if self.last_cf_cycle == Some(commit.cycle) {
-                            self.controller.stalls_dual_cf += 1;
-                            self.core.stall(1);
-                            if let Some(rec) = self.recorder.as_mut() {
-                                rec.metrics.add("stall.dual_cf", 1);
-                                rec.timeline.instant(
-                                    Track::HostCommit,
-                                    "stall.dual_cf",
-                                    self.bg_cycle,
-                                );
-                            }
-                        }
-                        self.last_cf_cycle = Some(commit.cycle);
-                        // Queue full: stall the commit stage until the Log
-                        // Writer frees a slot.
-                        if block && self.queue.is_full() {
-                            // Event-driven form of the wait below (no probe
-                            // attached in block mode); the stall total is
-                            // the same ticks the per-cycle loop would have
-                            // burned, skipped ones included.
-                            let before = self.bg_cycle;
-                            self.advance_background_fast(0, true);
-                            let waited = self.bg_cycle - before;
-                            self.controller.stalls_queue_full += waited;
-                            self.core.stall(waited);
-                        } else if self.queue.is_full() {
-                            if let Some(rec) = self.recorder.as_mut() {
-                                rec.timeline.span_begin(
-                                    Track::HostCommit,
-                                    "stall.queue_full",
-                                    self.bg_cycle,
-                                );
-                            }
-                            while self.queue.is_full() {
-                                // Sub-attribute the stalled cycle by what the
-                                // pipeline is waiting on: the Log Writer's AXI
-                                // beats, or the RoT still checking.
-                                let axi_busy =
-                                    matches!(self.writer.state(), WriterState::Writing { .. });
-                                let before = self.bg_cycle;
-                                self.tick_once();
-                                let waited = self.bg_cycle - before;
-                                self.controller.stalls_queue_full += waited;
-                                self.core.stall(waited);
-                                if let Some(rec) = self.recorder.as_mut() {
-                                    rec.metrics.add("stall.queue_full", waited);
-                                    rec.metrics.add(
-                                        if axi_busy {
-                                            "stall.axi_busy"
-                                        } else {
-                                            "stall.fw_wait"
-                                        },
-                                        waited,
-                                    );
-                                }
-                            }
-                            if let Some(rec) = self.recorder.as_mut() {
-                                rec.timeline.span_end(Track::HostCommit, self.bg_cycle);
-                            }
-                        }
-                        let mut noprobe = NoProbe;
-                        let probe: &mut dyn Probe =
-                            match (self.recorder.as_mut(), self.latency.as_mut()) {
-                                (Some(rec), _) => rec,
-                                (None, Some(lat)) => lat,
-                                (None, None) => &mut noprobe,
-                            };
-                        let pushed = self.queue.push_probed(log, self.bg_cycle, probe);
-                        debug_assert!(pushed, "push after full-wait must succeed");
+            // Host `i` stays the one furthest behind until it reaches
+            // `until`, so it runs there without being picked again. A halt
+            // of every core (`halt_live`) ends this loop too.
+            let until = self.yield_cycle(i, until_cycle);
+            while self.hosts[i].halt.is_none() && self.hosts[i].core.cycle() < until {
+                if let Some(t) = self.firmware_trap() {
+                    if self.config.resilience.policy == FailPolicy::FailClosed {
+                        // Fail closed: a dead checker means unchecked hosts;
+                        // stop them all and surface the trap structurally.
+                        self.halt_live(Halt::FirmwareTrap(t));
                     }
                 }
-                Err(halt) => break halt,
+                if self.config.halt_on_violation && !self.violations.is_empty() {
+                    self.halt_live(Halt::Breakpoint);
+                }
+                if self.hosts[i].halt.is_some() {
+                    break;
+                }
+                if let Err(halt) = self.step_host(i, block, until) {
+                    self.hosts[i].halt = Some(halt);
+                }
             }
+        }
+    }
+
+    /// Runs host `i` for one commit — or, in block mode, for a batch of
+    /// straight-line commits up to the next CFI-relevant commit, device
+    /// access or `until` — then brings the background up to the last
+    /// commit and applies that commit's CFI effects.
+    fn step_host(&mut self, i: usize, block: bool, until: u64) -> Result<(), Halt> {
+        let mut commit = self.host_step(i, block, until)?;
+        let mut batch_halt = None;
+        if block {
+            // Block mode batches through busy transport phases: a host and
+            // the background only interact at queue pushes (CFI-relevant
+            // commits) and device-window accesses, and another core only
+            // runs once this one reaches `until`. Batches end at all
+            // three, so deferring the background catch-up to the batch
+            // boundary composes to the same state.
+            loop {
+                let host = &mut self.hosts[i];
+                if commit.cf_class.is_cfi_relevant()
+                    || host.core.bus_mut().take_io_access()
+                    || host.core.cycle() >= until
+                {
+                    break;
+                }
+                // The filter hardware scans every retirement; account the
+                // skipped straight-line ones.
+                host.filter.note_straightline(1);
+                match self.host_step(i, block, until) {
+                    Ok(c) => commit = c,
+                    Err(h) => {
+                        batch_halt = Some(h);
+                        break;
+                    }
+                }
+            }
+            self.advance_background_fast(commit.cycle, false);
+        } else {
+            self.advance_background(commit.cycle);
+        }
+        if let Some(h) = batch_halt {
+            // The halting instruction retired nothing; the last commit was
+            // straight-line and already accounted.
+            return Err(h);
+        }
+        // Deliver any violation the background machinery found while this
+        // instruction was in flight.
+        if self.config.trap_host_on_violation && self.violations.len() > self.trapped_violations {
+            let v = self.violations[self.trapped_violations];
+            self.trapped_violations = self.violations.len();
+            self.hosts[usize::from(v.core)]
+                .core
+                .inject_exception(CFI_VIOLATION_CAUSE, v.log.target);
+        }
+        if let Some(log) = self.hosts[i]
+            .filter
+            .scan_classified(&commit.retired, commit.cf_class)
+        {
+            self.push_log(i, log, commit.cycle, block);
+        }
+        Ok(())
+    }
+
+    /// Pushes host `i`'s log into the CFI queue after the Queue
+    /// Controller's commit stalls: one cycle when the core's previous log
+    /// committed in the same cycle, and the wait for a free slot when the
+    /// queue is full.
+    fn push_log(&mut self, i: usize, log: CommitLog, commit_cycle: u64, block: bool) {
+        let core = u8::try_from(i).expect("core ids fit the queue's u8 tag");
+        if let Some((logs, cores)) = self.log_tap.as_mut() {
+            logs.push(log);
+            cores.push(core);
+        }
+        let host = &mut self.hosts[i];
+        // Dual-CF conflict: two CF logs in the same commit cycle cannot both
+        // be pushed (paper §IV-B2).
+        if host.last_cf_cycle == Some(commit_cycle) {
+            self.controller.stalls_dual_cf += 1;
+            host.core.stall(1);
+            if let Some(rec) = self.recorder.as_mut() {
+                rec.metrics.add("stall.dual_cf", 1);
+                rec.timeline
+                    .instant(Track::HostCommit, "stall.dual_cf", self.bg_cycle);
+            }
+        }
+        host.last_cf_cycle = Some(commit_cycle);
+        // Queue full: stall the commit stage until the Log Writer frees a
+        // slot.
+        if block && self.queue.is_full() {
+            // Event-driven form of the wait below (no probe attached in
+            // block mode); the stall total is the same ticks the per-cycle
+            // loop would have burned, skipped ones included.
+            let before = self.bg_cycle;
+            self.advance_background_fast(0, true);
+            let waited = self.bg_cycle - before;
+            self.controller.stalls_queue_full += waited;
+            self.hosts[i].core.stall(waited);
+        } else if self.queue.is_full() {
+            if let Some(rec) = self.recorder.as_mut() {
+                rec.timeline
+                    .span_begin(Track::HostCommit, "stall.queue_full", self.bg_cycle);
+            }
+            while self.queue.is_full() {
+                // Sub-attribute the stalled cycle by what the pipeline is
+                // waiting on: the Log Writer's AXI beats, or the RoT still
+                // checking.
+                let axi_busy = matches!(self.writer.state(), WriterState::Writing { .. });
+                let before = self.bg_cycle;
+                self.tick_once();
+                let waited = self.bg_cycle - before;
+                self.controller.stalls_queue_full += waited;
+                self.hosts[i].core.stall(waited);
+                if let Some(rec) = self.recorder.as_mut() {
+                    rec.metrics.add("stall.queue_full", waited);
+                    rec.metrics.add(
+                        if axi_busy {
+                            "stall.axi_busy"
+                        } else {
+                            "stall.fw_wait"
+                        },
+                        waited,
+                    );
+                }
+            }
+            if let Some(rec) = self.recorder.as_mut() {
+                rec.timeline.span_end(Track::HostCommit, self.bg_cycle);
+            }
+        }
+        let mut noprobe = NoProbe;
+        let probe: &mut dyn Probe = match (self.recorder.as_mut(), self.latency.as_mut()) {
+            (Some(rec), _) => rec,
+            (None, Some(lat)) => lat,
+            (None, None) => &mut noprobe,
         };
-        Some(halt)
+        let pushed = self
+            .queue
+            .push_probed(TaggedLog { core, log }, self.bg_cycle, probe);
+        debug_assert!(pushed, "push after full-wait must succeed");
     }
 
     /// Drains in-flight transport work and assembles the final report for a
@@ -961,10 +1058,32 @@ impl SystemOnChip {
     /// exposed so sliced runs ([`SystemOnChip::run_slice`]) can settle the
     /// transport exactly once at teardown.
     pub fn finish(&mut self, halt: Halt) -> SocReport {
-        // Drain in-flight checks so counters are final. With a trapped RoT
-        // under fail-closed there is nothing left to drain (the writer can
-        // only watchdog against a dead checker); fail-open drains normally,
-        // escalation dropping whatever the RoT can no longer check.
+        self.drain();
+        let host = &self.hosts[0];
+        SocReport {
+            halt,
+            cycles: host.core.cycle(),
+            core: host.core.stats(),
+            filter: host.filter.stats(),
+            logs_checked: self.writer.logs_written,
+            violations: self.violations.clone(),
+            queue_high_water: self.queue.max_occupancy,
+            stalls_queue_full: self.controller.stalls_queue_full,
+            stalls_dual_cf: self.controller.stalls_dual_cf,
+            watchdog_timeouts: self.writer.watchdog_timeouts,
+            writer_retries: self.writer.retries,
+            logs_dropped: self.writer.dropped_logs,
+            forced_violations: self.writer.forced_violations,
+            firmware_trap: self.firmware_trap(),
+            faults: self.injector.as_ref().map(FaultInjector::report),
+        }
+    }
+
+    /// Drains in-flight checks so counters are final. With a trapped RoT
+    /// under fail-closed there is nothing left to drain (the writer can
+    /// only watchdog against a dead checker); fail-open drains normally,
+    /// escalation dropping whatever the RoT can no longer check.
+    pub(crate) fn drain(&mut self) {
         let mut guard = 0u64;
         while !(self.firmware_trap().is_some()
             && self.config.resilience.policy == FailPolicy::FailClosed)
@@ -982,30 +1101,12 @@ impl SystemOnChip {
             }
             self.fw_checking = false;
         }
-
-        SocReport {
-            halt,
-            cycles: self.core.cycle(),
-            core: self.core.stats(),
-            filter: self.filter.stats(),
-            logs_checked: self.writer.logs_written,
-            violations: self.violations.clone(),
-            queue_high_water: self.queue.max_occupancy,
-            stalls_queue_full: self.controller.stalls_queue_full,
-            stalls_dual_cf: self.controller.stalls_dual_cf,
-            watchdog_timeouts: self.writer.watchdog_timeouts,
-            writer_retries: self.writer.retries,
-            logs_dropped: self.writer.dropped_logs,
-            forced_violations: self.writer.forced_violations,
-            firmware_trap: self.firmware_trap(),
-            faults: self.injector.as_ref().map(FaultInjector::report),
-        }
     }
 
     /// Host register read-back (for checking program results).
     #[must_use]
     pub fn host_reg(&self, r: riscv_isa::Reg) -> u64 {
-        self.core.reg(r)
+        self.hosts[0].core.reg(r)
     }
 
     /// The active configuration.
@@ -1018,12 +1119,12 @@ impl SystemOnChip {
     /// attempts from software).
     #[must_use]
     pub fn pmp_denials(&mut self) -> u64 {
-        self.core.bus_mut().pmp_denials
+        self.hosts[0].core.bus_mut().pmp_denials
     }
 
     /// Direct access to the host bus (verifier-side readback in tests).
     pub fn host_bus_mut(&mut self) -> &mut HostBus {
-        self.core.bus_mut()
+        self.hosts[0].core.bus_mut()
     }
 }
 

@@ -1,6 +1,6 @@
 //! The predecoded-instruction cache must be architecturally invisible:
 //! stale entries are impossible (stores into executable ranges evict),
-//! and the fast path (predecode + quantum batching) retires the exact
+//! and the fast path (predecode + block-compiled dispatch) retires the exact
 //! same instruction stream, cycle counts, and CFI verdicts as strict
 //! per-cycle stepping — pinned here for the bare cores, the full SoC,
 //! the multi-core SoC, the scrambled secure-boot flash path, and every
@@ -355,8 +355,8 @@ loop:
     assert_eq!(runs[0], runs[1], "booted image must run cycle-identically");
 }
 
-/// Full-SoC fingerprints: host + CFI transport + RoT firmware with quantum
-/// batching on vs off, over kernels covering calls, branches, and memory.
+/// Full-SoC fingerprints: host + CFI transport + RoT firmware with the fast
+/// path on vs off, over kernels covering calls, branches, and memory.
 #[test]
 fn soc_reports_identical_fast_path_on_vs_off() {
     for name in ["fib", "towers", "crc32", "dhry-calls"] {
@@ -376,7 +376,7 @@ fn soc_reports_identical_fast_path_on_vs_off() {
         }
         assert_eq!(
             fingerprints[0], fingerprints[1],
-            "{name}: quantum batching changed the SoC report"
+            "{name}: the fast path changed the SoC report"
         );
     }
 }
@@ -395,7 +395,7 @@ fn multicore_report_identical_fast_path_on_vs_off() {
     }
     assert_eq!(
         fingerprints[0], fingerprints[1],
-        "quantum batching changed the multicore report"
+        "the fast path changed the multicore report"
     );
 }
 

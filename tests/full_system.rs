@@ -128,6 +128,24 @@ fn report_counters_consistent() {
 }
 
 #[test]
+fn report_fingerprints_pinned() {
+    // Exact values, so a refactor of the engine cannot move any of them
+    // unnoticed: (halt, cycles, logs checked, queue high water, queue-full
+    // stall cycles, dual-CF stalls, violations).
+    use cva6_model::Halt::Breakpoint;
+    let pins = [
+        ("fib", (Breakpoint, 529_505, 3946, 8, 503_867, 0, 0)),
+        ("towers", (Breakpoint, 549_403, 4094, 8, 525_319, 0, 0)),
+        ("crc32", (Breakpoint, 22_057, 0, 0, 0, 0, 0)),
+        ("dhry-calls", (Breakpoint, 671_302, 5000, 8, 656_301, 0, 0)),
+    ];
+    for (name, want) in pins {
+        let (report, _) = run_kernel_checked(name, kernel_config());
+        assert_eq!(common::report_fingerprint(&report), want, "{name}");
+    }
+}
+
+#[test]
 fn dual_control_flow_commits_are_rare() {
     // Paper §IV-B2 justifies the single-push-per-cycle queue: "committing
     // two control-flow instructions in the same cycle is a rare event".

@@ -31,6 +31,20 @@ fn two_kernels_protected_concurrently() {
     let streamed: u64 = report.cores.iter().map(|c| c.cf_streamed).sum();
     assert_eq!(streamed, report.logs_checked);
     assert!(report.cores[0].cf_streamed > 0 && report.cores[1].cf_streamed > 0);
+    // Exact values: (cycles, instret, cf_streamed) per core.
+    assert_eq!(
+        summary(&report),
+        [(618_790, 18_739, 3946), (639_535, 17_398, 4094)]
+    );
+    assert_eq!(report.logs_checked, 8040);
+}
+
+/// Per-core (cycles, instret, cf_streamed).
+fn summary(report: &titancfi_soc::DualReport) -> [(u64, u64, u64); 2] {
+    report
+        .cores
+        .clone()
+        .map(|c| (c.cycles, c.instret, c.cf_streamed))
 }
 
 #[test]
@@ -120,6 +134,22 @@ fn attack_on_one_core_attributed_correctly() {
     );
     // The clean core finished its work unperturbed.
     assert_eq!(report.cores[0].halt, Halt::Breakpoint);
+    // Exact values: the hijacked `ret` (pc 0x8000_0024, to the gadget) is
+    // the only violation, flagged at RoT cycle 900.
+    assert_eq!(report.cores[1].halt, Halt::Breakpoint);
+    assert_eq!(summary(&report), [(751_457, 11_502, 5000), (14, 10, 2)]);
+    assert_eq!(report.logs_checked, 5002);
+    let [v] = report.violations[..] else {
+        panic!("exactly one violation: {:?}", report.violations)
+    };
+    assert_eq!(
+        (v.core, v.log.pc, v.log.target, v.cycle),
+        (1, 0x8000_0024, 0x8000_0028, 900)
+    );
+    assert_eq!(
+        (soc.host_reg(0, Reg::A0), soc.host_reg(1, Reg::A0)),
+        (250, 0x666)
+    );
 }
 
 #[test]
