@@ -45,10 +45,12 @@ rm -rf "$fault_dir"
 echo "==> fuzz smoke (differential oracle over a seed slice + planted-bug self-test)"
 # The fuzz binary exits nonzero if any seed's program behaves differently
 # across the execution-mode/firmware/resilience/multicore matrix. The
-# stepping-mode axis has three cells — strict, observed (per-cycle over
-# the predecoded caches, latency collector attached), and block-compiled
-# (superblock dispatch) — and the dual-core axis runs strict/block, so
-# every seed exercises the decode and translation caches. Every
+# stepping-mode axis has three cells — strict, observed (block dispatch
+# with a latency collector attached), and block-compiled (superblock
+# dispatch) — and the dual-core axis runs strict/block, so every seed
+# exercises the decode and translation caches. The observed cell's
+# latency spans must equal the strict cell's, and the dual strict/block
+# pair's spans must agree. Every
 # seed also sweeps the policy axis: benign plus all three corruption
 # variants (return hijack / jump-table smash / fn-ptr type confusion),
 # each of which must be flagged by exactly the predicted policy. The
@@ -70,7 +72,9 @@ echo "==> throughput smoke (fast-path fingerprints + speedup regression gate)"
 # Regenerates BENCH_throughput.json in place. The binary exits nonzero if
 # the fast path's result fingerprints diverge from strict stepping, or if
 # any scenario's off/on speedup drops below 80% of the committed baseline
-# (gate skipped when no baseline exists yet).
+# (gate skipped when no baseline exists yet). The `observed` row runs with
+# a latency collector attached, so the same gate fails if observed runs
+# fall back to per-cycle stepping.
 cargo run --release -p titancfi-bench --bin throughput -- \
     --smoke --out BENCH_throughput.json --baseline BENCH_throughput.json
 test -s BENCH_throughput.json || { echo "throughput smoke: report missing/empty"; exit 1; }

@@ -8,14 +8,14 @@
 //!
 //! Two sweeps feed `BENCH_latency.json`:
 //!
-//! * **Benign attribution** — firmware variant (polling vs IRQ) × queue
-//!   depth on the call-dense kernel, reporting p50/p95/p99/max for every
-//!   lifecycle stage (queue wait, AXI beats, firmware check, verdict
-//!   read-back) plus end-to-end. Every cell is run three times: twice in
-//!   strict stepping (rerun determinism) and once with the fast path
-//!   requested (the latency probe forces per-cycle stepping over the
-//!   predecoded caches, so the metrics must come out byte-identical — that
-//!   identity is asserted, not assumed).
+//! * **Benign attribution** — firmware variant (the paper's three: IRQ,
+//!   polling, and polling on the optimized interconnect) × queue depth on
+//!   the call-dense kernel, reporting p50/p95/p99/max for every lifecycle
+//!   stage (queue wait, AXI beats, firmware check, verdict read-back) plus
+//!   end-to-end. Every cell is run three times: twice in strict stepping
+//!   (rerun determinism) and once under block dispatch, which an observed
+//!   run keeps, so the metrics must come out byte-identical — that
+//!   identity is asserted, not assumed.
 //! * **Detection latency** — corruption classes (stack-smash hijack loop,
 //!   fuzz-generated return hijacks, a wedged doorbell transport under a
 //!   fail-closed watchdog), reporting the cycles from the corrupting
@@ -78,7 +78,8 @@ fn run_with_latency(program: &riscv_asm::Program, config: SocConfig, budget: u64
 }
 
 /// One benign sweep cell: checks determinism across reruns and stepping
-/// modes, enforces conservation, and returns (spans, cross_mode_match).
+/// modes, enforces conservation, and returns (spans, cross_mode_match,
+/// conserved).
 fn benign_cell(
     program: &riscv_asm::Program,
     firmware: FirmwareKind,
@@ -90,6 +91,7 @@ fn benign_cell(
         firmware,
         queue_depth,
         fast_path: fast,
+        block_compile: fast,
         ..SocConfig::default()
     };
     let strict = run_with_latency(program, config(false), budget);
@@ -200,7 +202,7 @@ fn main() -> ExitCode {
         .program()
         .expect("assembles");
     let mut benign_rows = Vec::new();
-    for firmware in [FirmwareKind::Polling, FirmwareKind::Irq] {
+    for firmware in FirmwareKind::ALL {
         for depth in [1usize, 8] {
             let (spans, cross_mode, conserved) = benign_cell(&kernel, firmware, depth, budget);
             if !conserved {
@@ -216,7 +218,7 @@ fn main() -> ExitCode {
             if !cross_mode {
                 eprintln!(
                     "latency: STEPPING-MODE MISMATCH {}/depth{depth}: \
-                     latency metrics must be byte-identical with the fast path on and off",
+                     latency metrics must be byte-identical under strict stepping and block dispatch",
                     firmware.name()
                 );
                 failed = true;
@@ -229,7 +231,7 @@ fn main() -> ExitCode {
                 failed = true;
             }
             println!(
-                "{:>8} depth {depth}  logs {:>6}  e2e p50 {:>5} p99 {:>6} max {:>6}  {}",
+                "{:>9} depth {depth}  logs {:>6}  e2e p50 {:>5} p99 {:>6} max {:>6}  {}",
                 firmware.name(),
                 spans.checked_ok,
                 spans.end_to_end.percentile(0.50),

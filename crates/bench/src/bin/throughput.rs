@@ -9,7 +9,10 @@
 //!
 //! Every scenario runs twice — fast path off, then on — and the two runs
 //! must produce byte-identical result fingerprints (halt reason, cycle
-//! counts, filter statistics, violations). A mismatch is a correctness bug
+//! counts, filter statistics, violations, and the serialized latency spans
+//! of the `observed` scenario, which attaches a collector to the
+//! call-dense kernel and so keeps its speedup only while observed runs take
+//! block dispatch). A mismatch is a correctness bug
 //! and exits nonzero. The JSON report records per-scenario speedup, which
 //! is machine-portable; `--baseline` compares against a previous report and
 //! fails if any scenario's speedup regressed by more than 20 %.
@@ -121,7 +124,10 @@ fn run_native_suite(fast: bool, budget: u64) -> RunOutcome {
 
 /// The full SoC (host + CFI transport + RoT firmware): measures block
 /// dispatch and event-driven background scheduling on top of predecode.
-fn run_soc(name: &str, fast: bool, budget: u64) -> RunOutcome {
+/// With `observe` a latency collector rides along, which must keep block
+/// dispatch; its serialized spans join the fingerprint, so strict and
+/// block runs must stamp every log identically.
+fn run_soc(name: &str, observe: bool, fast: bool, budget: u64) -> RunOutcome {
     let prog = kernel(name).program().expect("assembles");
     let config = SocConfig {
         mem_size: KERNEL_MEM,
@@ -129,12 +135,18 @@ fn run_soc(name: &str, fast: bool, budget: u64) -> RunOutcome {
         ..SocConfig::default()
     };
     let mut soc = SystemOnChip::new(&prog, config);
+    if observe {
+        soc.attach_latency();
+    }
     let t = Instant::now();
     let r = soc.run(budget);
     let wall_secs = t.elapsed().as_secs_f64();
+    let spans = soc
+        .take_latency()
+        .map(|c| format!("|spans={}", c.spans.to_json().encode()));
     RunOutcome {
         fingerprint: format!(
-            "{:?}|{}|{:?}|{:?}|logs={}|viol={}|hw={}|qf={}|dcf={}",
+            "{:?}|{}|{:?}|{:?}|logs={}|viol={}|hw={}|qf={}|dcf={}{}",
             r.halt,
             r.cycles,
             r.core,
@@ -143,7 +155,8 @@ fn run_soc(name: &str, fast: bool, budget: u64) -> RunOutcome {
             r.violations.len(),
             r.queue_high_water,
             r.stalls_queue_full,
-            r.stalls_dual_cf
+            r.stalls_dual_cf,
+            spans.unwrap_or_default()
         ),
         sim_cycles: r.cycles,
         instret: r.core.instret,
@@ -378,10 +391,13 @@ fn main() -> ExitCode {
             run_bare_core("fib", fast, budget)
         }),
         measure("call-dense", min_wall, |fast| {
-            run_soc("dhry-calls", fast, budget)
+            run_soc("dhry-calls", false, fast, budget)
         }),
         measure("branch-chain", min_wall, |fast| {
-            run_soc("crc32", fast, budget)
+            run_soc("crc32", false, fast, budget)
+        }),
+        measure("observed", min_wall, |fast| {
+            run_soc("dhry-calls", true, fast, budget)
         }),
         measure("multicore", min_wall, |fast| run_multicore(fast, budget)),
         measure("native-suite", min_wall, |fast| {

@@ -96,8 +96,8 @@ pub struct SocDeviceConfig {
     /// Log Writer watchdog/retry/escalation policy (`None` = SoC default).
     pub resilience: Option<titancfi::ResilienceConfig>,
     /// Collect per-log latency spans ([`SystemOnChip::attach_latency`]) so
-    /// the fleet health monitor can aggregate end-to-end percentiles.
-    /// Costs strict stepping; off by default.
+    /// the fleet health monitor can aggregate end-to-end percentiles. The
+    /// device keeps block dispatch; off by default.
     pub latency: bool,
 }
 
@@ -158,10 +158,11 @@ impl SocDevice {
             // instruction caches plus block-compiled stepping, pinned on
             // explicitly rather than inherited from the process-wide
             // default (a test flipping the global toggle must not quietly
-            // put a whole fleet back on strict stepping). When a latency
-            // collector or fault injector is attached, `run_slice` itself
-            // forces strict scheduling — the flags are preconditions, not
-            // overrides, so observed devices stay cycle-exact per-commit.
+            // put a whole fleet back on strict stepping). A latency
+            // collector keeps block dispatch; a fault injector makes
+            // `run_slice` fall back to per-cycle scheduling — the flags are
+            // preconditions, not overrides, so faulted devices stay
+            // cycle-exact per commit.
             fast_path: true,
             block_compile: true,
             // Fleet workloads are a few hundred instructions, not kernels;

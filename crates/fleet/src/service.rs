@@ -41,7 +41,8 @@
 use crate::device::Device;
 use crate::health::{Alert, DeviceCounters, HealthConfig, HealthMonitor};
 use crate::supervisor::{
-    DeviceFactory, FailureRecord, SupervisionConfig, SupervisionStats, Supervisor, Turn,
+    fold_histogram, DeviceFactory, FailureRecord, SupervisionConfig, SupervisionStats, Supervisor,
+    Turn,
 };
 use crate::transport::{Backend, Transport, TransportStats};
 use std::io::Write as _;
@@ -159,8 +160,10 @@ pub struct FleetReport {
     pub health_scores: Vec<u8>,
     /// Every alert the health monitor raised, in fire order.
     pub alerts: Vec<Alert>,
-    /// Merged end-to-end latency histogram across devices that collected
-    /// one ([`crate::device::SocDeviceConfig::latency`]).
+    /// Merged end-to-end latency histogram across every run of every
+    /// device that collected one
+    /// ([`crate::device::SocDeviceConfig::latency`]), finished runs
+    /// included.
     pub latency_e2e: Option<Histogram>,
     /// The final Prometheus-text exposition snapshot.
     pub exposition: String,
@@ -712,16 +715,14 @@ fn device_counters(
         .collect()
 }
 
-/// Merges the end-to-end latency histograms of every device that collects
-/// one; `None` when latency collection is off fleet-wide.
+/// Merges the end-to-end latency histograms of every slot — its finished
+/// runs and its live device — whose devices collect one; `None` when
+/// latency collection is off fleet-wide.
 fn merged_latency(supervisor: &Supervisor, devices: u32) -> Option<Histogram> {
     let mut merged: Option<Histogram> = None;
     for slot in 0..devices {
         if let Some(hist) = supervisor.slot_latency_e2e(slot) {
-            match merged.as_mut() {
-                Some(m) => m.merge(&hist),
-                None => merged = Some(hist),
-            }
+            fold_histogram(&mut merged, hist);
         }
     }
     merged

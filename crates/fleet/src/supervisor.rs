@@ -96,6 +96,34 @@ struct Slot {
     violations: u64,
     escalated_hung: u64,
     escalated_trapped: u64,
+    /// End-to-end latency of the slot's finished runs (recycled or reaped).
+    latency_done: Option<titancfi_obs::Histogram>,
+}
+
+impl Slot {
+    /// Removes the live device, folding its latency histogram into the
+    /// finished-run total. Returns its last assigned seq, which the
+    /// replacement continues from (0 when the slot held no device).
+    fn retire_device(&mut self) -> u16 {
+        let Some(device) = self.device.take() else {
+            return 0;
+        };
+        if let Some(hist) = device.latency_e2e() {
+            fold_histogram(&mut self.latency_done, hist);
+        }
+        device.last_seq()
+    }
+}
+
+/// Merges `hist` into `total`, starting the total when it is empty.
+pub(crate) fn fold_histogram(
+    total: &mut Option<titancfi_obs::Histogram>,
+    hist: titancfi_obs::Histogram,
+) {
+    match total.as_mut() {
+        Some(t) => t.merge(&hist),
+        None => *total = Some(hist),
+    }
 }
 
 /// Per-slot health counters, snapshotted for the fleet health monitor.
@@ -159,6 +187,7 @@ impl Supervisor {
                     violations: 0,
                     escalated_hung: 0,
                     escalated_trapped: 0,
+                    latency_done: None,
                 })
             })
             .collect();
@@ -215,7 +244,7 @@ impl Supervisor {
                 self.completed_runs.fetch_add(1, Ordering::Relaxed);
                 // Free recycle: boot the next run, seq continuing where the
                 // finished one stopped.
-                let next_seq = state.device.as_ref().map_or(0, |d| d.last_seq());
+                let next_seq = state.retire_device();
                 state.device = Some((self.factory)(slot, next_seq));
                 state.idle_polls = 0;
                 Turn::Recycled(outcome)
@@ -242,8 +271,7 @@ impl Supervisor {
                 state.escalated_trapped += 1;
             }
         };
-        let next_seq = state.device.as_ref().map_or(0, |d| d.last_seq());
-        state.device = None; // reaped
+        let next_seq = state.retire_device(); // reaped
         state.idle_polls = 0;
         if state.restarts_used < self.config.restart_budget {
             state.restarts_used += 1;
@@ -302,14 +330,17 @@ impl Supervisor {
         }
     }
 
-    /// The end-to-end latency histogram of `slot`'s live device, when the
-    /// device collects one ([`Device::latency_e2e`]).
+    /// The end-to-end latency histogram of every run `slot` has hosted —
+    /// finished runs (recycled or reaped) merged with the live device's —
+    /// when its devices collect one ([`Device::latency_e2e`]).
     #[must_use]
     pub fn slot_latency_e2e(&self, slot: u32) -> Option<titancfi_obs::Histogram> {
-        self.lock(slot)
-            .device
-            .as_ref()
-            .and_then(|d| d.latency_e2e())
+        let state = self.lock(slot);
+        let mut total = state.latency_done.clone();
+        if let Some(live) = state.device.as_ref().and_then(|d| d.latency_e2e()) {
+            fold_histogram(&mut total, live);
+        }
+        total
     }
 
     /// Snapshot of the permanent-failure ledger.

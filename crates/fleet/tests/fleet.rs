@@ -8,6 +8,7 @@ use titancfi_fleet::{
     call_dense_workload, run_fleet, validate_prometheus, AlertKind, Backend, FleetConfig,
     HealthConfig, SocDevice, SocDeviceConfig, SupervisionConfig,
 };
+use titancfi_soc::SocConfig;
 
 #[test]
 fn trapping_devices_are_escalated_parked_and_ledgered_without_fleet_loss() {
@@ -69,6 +70,40 @@ fn trapping_devices_are_escalated_parked_and_ledgered_without_fleet_loss() {
     );
     assert_eq!(report.seq_duplicates, 0);
     assert_eq!(report.seq_gaps, 0, "seq continuity survives reaping");
+}
+
+#[test]
+fn fleet_latency_histogram_keeps_every_finished_run() {
+    // Every slot recycles its device hundreds of times; the fleet-wide
+    // histogram must carry the logs of those finished runs, not only the
+    // live ones'.
+    let program = Arc::new(call_dense_workload(4));
+    let config = FleetConfig {
+        devices: 4,
+        shards: 2,
+        passes: 800,
+        ..FleetConfig::default()
+    };
+    let report = run_fleet(&config, move |_, seq, tx| {
+        let mut dev_config = SocDeviceConfig::new(Arc::clone(&program));
+        dev_config.latency = true;
+        Box::new(SocDevice::new(dev_config, tx, seq))
+    });
+    assert!(report.is_lossless());
+    assert!(
+        report.supervision.completed_runs > u64::from(config.devices),
+        "slots must recycle for the test to mean anything"
+    );
+    let e2e = report.latency_e2e.expect("devices collect latency");
+    // Only the live runs' in-flight logs may be missing: a full queue plus
+    // the one the Log Writer holds, per device.
+    let in_flight = u64::from(config.devices) * (SocConfig::default().queue_depth as u64 + 1);
+    assert!(
+        report.frames_ok.saturating_sub(in_flight) <= e2e.count && e2e.count <= report.frames_ok,
+        "{} frames ingested, {} latencies recorded",
+        report.frames_ok,
+        e2e.count
+    );
 }
 
 #[test]

@@ -1,10 +1,10 @@
 //! Differential fuzzing for the TitanCFI co-simulation.
 //!
 //! The simulator has execution strategies that must be observationally
-//! identical (strict per-cycle stepping, observed per-cycle stepping over
-//! the predecoded instruction caches, block-compiled dispatch, and the
-//! dual-core scheduler) plus a resilience layer that must be provably
-//! inert on a fault-free transport.
+//! identical (strict per-cycle stepping, block-compiled dispatch with and
+//! without a latency collector attached, and the dual-core scheduler)
+//! plus a resilience layer that must be provably inert on a fault-free
+//! transport.
 //! Until now every equivalence claim was pinned by hand-picked kernels;
 //! this crate replaces that with *generated* coverage:
 //!
@@ -17,7 +17,8 @@
 //!   (strict vs observed vs block-compiled × IRQ vs polling firmware ×
 //!   resilience armed vs [`titancfi::ResilienceConfig::off`], plus the
 //!   dual-core SoC) and demands byte-identical commit-log streams,
-//!   shadow-stack verdicts, and report fingerprints. Corruption variants
+//!   shadow-stack verdicts, report fingerprints, and latency spans
+//!   (strict vs observed, dual strict vs block). Corruption variants
 //!   (return-address hijack, jump-table smash, function-pointer type
 //!   confusion) must be flagged by exactly the policies the per-variant
 //!   expected-detection map predicts — the shadow stack, Zicfilp landing

@@ -3,11 +3,12 @@
 //! One generated program is run under the full configuration matrix:
 //!
 //! * **Execution strategy** — strict per-cycle stepping, the observed
-//!   path (the block configuration with a latency collector attached,
-//!   which steps per cycle over the predecoded instruction caches), and
+//!   path (block dispatch with a latency collector attached), and
 //!   block-compiled dispatch (superblock translation cache + event-driven
 //!   background scheduling). All three must agree on *everything*,
-//!   including cycle counts.
+//!   including cycle counts, and the observed cell's serialized latency
+//!   spans must equal those of the strict cell, which attaches a
+//!   collector too.
 //! * **Firmware** — IRQ vs polling RoT firmware. Check latencies differ,
 //!   so only the timing-independent ("portable") fingerprint must agree:
 //!   halt reason, retired instruction count, filter counters, the full
@@ -16,8 +17,9 @@
 //!   fault-free transport the layer must be provably inert: the *entire*
 //!   report, cycles included, must be identical.
 //! * **Topology** — the dual-core SoC running the same program on both
-//!   cores, strict vs block-compiled. Both cores' tagged streams must
-//!   equal the single-core strict stream log for log.
+//!   cores, strict vs block-compiled, both observed. Reports and latency
+//!   spans must agree, and both cores' tagged streams must equal the
+//!   single-core strict stream log for log.
 //!
 //! Corruption variants invert the final check along the **policy
 //! dimension**: the reference stream is replayed through the golden-model
@@ -43,8 +45,7 @@ pub enum ExecMode {
     /// Reference semantics: per-cycle stepping, raw decode.
     Strict,
     /// The block configuration with a latency collector attached, which
-    /// forces per-cycle stepping over the predecoded instruction caches —
-    /// the path every observed run takes.
+    /// keeps block dispatch; its spans must equal the strict cell's.
     Observed,
     /// Superblock translation cache plus event-driven background
     /// scheduling (`SocConfig::fast_path` + `SocConfig::block_compile`).
@@ -104,6 +105,9 @@ pub struct CaseOutcome {
     pub logs_dropped: u64,
     /// Final checksum (`a0` at `ebreak`).
     pub checksum: u64,
+    /// Serialized latency spans, from the cells that attach a collector
+    /// (strict and observed).
+    pub spans: Option<String>,
 }
 
 impl CaseOutcome {
@@ -287,12 +291,13 @@ fn run_single(
     budget: u64,
 ) -> CaseOutcome {
     let mut soc = SystemOnChip::new(prog, soc_config(fw, resilience, mode));
-    if mode == ExecMode::Observed {
+    if mode != ExecMode::BlockCompiled {
         soc.attach_latency();
     }
     soc.enable_log_tap();
     let report = soc.run(budget);
     let stream = soc.take_log_tap().expect("tap was enabled");
+    let spans = soc.take_latency().map(|c| c.spans.to_json().encode());
     CaseOutcome {
         label: format!(
             "{mode:?}/{fw:?}/{}",
@@ -312,6 +317,7 @@ fn run_single(
         watchdog_timeouts: report.watchdog_timeouts,
         logs_dropped: report.logs_dropped,
         checksum: soc.host_reg(Reg::A0),
+        spans,
     }
 }
 
@@ -325,6 +331,7 @@ struct DualOutcome {
     logs_checked: u64,
     per_core_streams: [Vec<CommitLog>; CORES],
     per_core_violations: [Vec<CommitLog>; CORES],
+    spans: String,
 }
 
 /// Dual-core stepping rung: strict or block-compiled.
@@ -339,9 +346,11 @@ fn run_dual(prog: &Program, mode: DualMode, budget: u64) -> DualOutcome {
     let block = mode == DualMode::Block;
     soc.set_fast_path(block);
     soc.set_block_compile(block);
+    soc.attach_latency();
     soc.enable_log_tap();
     let report = soc.run(budget);
     let tagged = soc.take_log_tap().expect("tap was enabled");
+    let spans = soc.take_latency().expect("collector attached").spans;
     let mut streams: [Vec<CommitLog>; CORES] = [Vec::new(), Vec::new()];
     for t in &tagged {
         streams[t.core as usize].push(t.log);
@@ -358,6 +367,7 @@ fn run_dual(prog: &Program, mode: DualMode, budget: u64) -> DualOutcome {
         logs_checked: report.logs_checked,
         per_core_streams: streams,
         per_core_violations: violations,
+        spans: spans.to_json().encode(),
     }
 }
 
@@ -422,7 +432,8 @@ pub fn check_source(
     }
 
     // Within one (firmware, resilience) cell the three execution strategies
-    // must agree on everything, cycles included.
+    // must agree on everything, cycles included, and the observed cell's
+    // latency spans must equal the strict cell's byte for byte.
     for cell in cases.chunks(ExecMode::ALL.len()) {
         let base = &cell[0];
         for other in &cell[1..] {
@@ -434,6 +445,12 @@ pub fn check_source(
                     other.label,
                     base.full_fingerprint(),
                     other.full_fingerprint()
+                )));
+            }
+            if other.spans.is_some() && other.spans != base.spans {
+                return Err(diverge(format!(
+                    "latency spans differ between [{}] and [{}]:\n  {:?}\n  {:?}",
+                    base.label, other.label, base.spans, other.spans
                 )));
             }
         }

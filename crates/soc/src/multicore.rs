@@ -17,6 +17,7 @@ use cva6_model::Halt;
 use riscv_asm::Program;
 use titancfi::firmware::build_multicore_firmware;
 pub use titancfi::TaggedLog;
+use titancfi_obs::LatencyCollector;
 
 /// Number of host cores.
 pub const CORES: usize = 2;
@@ -97,6 +98,18 @@ impl DualHostSoc {
     /// ignored while the fast path is off). Identical reports either way.
     pub fn set_block_compile(&mut self, on: bool) {
         self.soc.config.block_compile = on;
+    }
+
+    /// Attaches the per-log latency collector
+    /// ([`SystemOnChip::attach_latency`]): spans cover the logs of both
+    /// cores, and the run keeps block dispatch.
+    pub fn attach_latency(&mut self) {
+        self.soc.attach_latency();
+    }
+
+    /// Detaches and returns the latency collector.
+    pub fn take_latency(&mut self) -> Option<LatencyCollector> {
+        self.soc.take_latency()
     }
 
     /// Starts capturing every tagged log pushed into the shared CFI queue.

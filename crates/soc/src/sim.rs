@@ -20,9 +20,13 @@
 //! * **per-cycle** — the reference. Every host commit brings the background
 //!   up to its cycle one tick at a time. It runs predecoded when
 //!   [`SocConfig::fast_path`] is on, and it is the fallback whenever a
-//!   probe, a fault schedule, or a per-commit violation policy is active.
+//!   recorder, a fault schedule, or a per-commit violation policy is
+//!   active.
 //! * **block** — superblock dispatch on the host cores plus event-driven
-//!   background advances that jump over provably inert ticks.
+//!   background advances that jump over provably inert ticks. A latency
+//!   collector rides it: every lifecycle stamp fires at a queue push or a
+//!   Log Writer event, and both run at their exact cycles here.
+//!   [`SystemOnChip::block_dispatch`] says which scheduler a run takes.
 
 use crate::hostbus::HostBus;
 use cva6_model::{Commit, Cva6Core, Halt, TimingConfig};
@@ -73,9 +77,10 @@ pub struct SocConfig {
     pub fast_path: bool,
     /// Superblock dispatch on the host cores plus event-driven background
     /// scheduling. Only consulted when the fast path is active, and
-    /// disabled while a probe or fault schedule is attached or under
+    /// disabled while a recorder or fault schedule is attached or under
     /// `halt_on_violation` / `trap_host_on_violation`, which the reference
-    /// semantics check at every commit. Cycle-exact like `fast_path` —
+    /// semantics check at every commit; a latency collector keeps it on
+    /// ([`SystemOnChip::block_dispatch`]). Cycle-exact like `fast_path` —
     /// pinned by `tests/decode_cache.rs` and the fuzz oracle's
     /// block-compiled stepping mode. Defaults to the process-wide
     /// [`riscv_isa::predecode::fast_path_default`].
@@ -469,11 +474,12 @@ impl SystemOnChip {
     }
 
     /// Attaches the lightweight per-log latency collector — lifecycle
-    /// boundary stamps only, no timeline or metric registry. Like a full
-    /// recorder it forces per-cycle scheduling, which is observationally
-    /// identical to block dispatch (pinned by `tests/decode_cache.rs`), so
-    /// every report field and all latency stamps are byte-identical across
-    /// stepping modes.
+    /// boundary stamps only, no timeline or metric registry. Unlike a full
+    /// recorder it keeps block dispatch: the stamps fire at queue pushes
+    /// and Log Writer events, which the event-driven advance simulates at
+    /// their exact cycles, so every report field and all latency stamps
+    /// are byte-identical across stepping modes (pinned by
+    /// `tests/latency_spans.rs`).
     pub fn attach_latency(&mut self) {
         self.latency = Some(LatencyCollector::new());
     }
@@ -619,8 +625,9 @@ impl SystemOnChip {
     /// `until_queue_space` the advance instead runs until the CFI queue has
     /// a free slot (the queue-full commit stall) and `until` is ignored.
     ///
-    /// Only legal when no probe, injector, or per-commit violation policy
-    /// is attached — the same preconditions as superblock dispatch.
+    /// Only legal under [`SystemOnChip::block_dispatch`]: no recorder,
+    /// injector, or per-commit violation policy. An attached latency
+    /// collector is fed at the writer ticks simulated here.
     fn advance_background_fast(&mut self, until: u64, until_queue_space: bool) {
         if until_queue_space {
             if !self.queue.is_full() {
@@ -716,10 +723,15 @@ impl SystemOnChip {
             let writer_due = poke || writer_next == Some(self.bg_cycle);
             poke = false;
             if writer_due {
-                if let Some(v) = self
-                    .writer
-                    .tick(self.bg_cycle, &mut self.queue, &self.rot.mailbox)
-                {
+                // Every lifecycle stamp a latency collector takes past the
+                // queue push fires inside a writer tick, and skipped ticks
+                // are no-ops, so the collector rides the event schedule.
+                let (cycle, queue, mailbox) = (self.bg_cycle, &mut self.queue, &self.rot.mailbox);
+                let verdict = match self.latency.as_mut() {
+                    Some(lat) => self.writer.tick_probed(cycle, queue, mailbox, lat),
+                    None => self.writer.tick(cycle, queue, mailbox),
+                };
+                if let Some(v) = verdict {
                     self.violations.push(v);
                 }
                 // The writer may have rung the doorbell on its final beat;
@@ -862,6 +874,25 @@ impl SystemOnChip {
         }
     }
 
+    /// Whether [`SystemOnChip::run_slice`] takes the block scheduler:
+    /// superblock dispatch plus event-driven background advances. It needs
+    /// [`SocConfig::fast_path`] and [`SocConfig::block_compile`], and
+    /// nothing that watches the skipped per-cycle boundaries: no recorder
+    /// sampling every cycle, no fault schedule drawing on transport events,
+    /// and no halt- or trap-on-violation policy, which the reference
+    /// semantics check at every commit. A latency collector does not count:
+    /// it stamps only queue pushes and writer events, which the block
+    /// scheduler simulates at their exact cycles.
+    #[must_use]
+    pub fn block_dispatch(&self) -> bool {
+        self.config.fast_path
+            && self.config.block_compile
+            && self.recorder.is_none()
+            && self.injector.is_none()
+            && !self.config.halt_on_violation
+            && !self.config.trap_host_on_violation
+    }
+
     /// Advances the co-simulation until every host core reaches
     /// `until_cycle` (absolute) or halts for a real reason. Returns `None`
     /// at the cycle limit with all state intact — calling again with a
@@ -872,18 +903,7 @@ impl SystemOnChip {
     /// [`SystemOnChip::finish`] once a `Some` halt (or the final slice)
     /// arrives.
     pub fn run_slice(&mut self, until_cycle: u64) -> Option<Halt> {
-        // Block dispatch is legal only when nothing can observe the skipped
-        // per-commit boundaries: no probe recording per-cycle samples, no
-        // fault schedule waiting on transport events, and no halt- or
-        // trap-on-violation policy, which the reference semantics check at
-        // every commit boundary.
-        let block = self.config.fast_path
-            && self.config.block_compile
-            && self.recorder.is_none()
-            && self.latency.is_none()
-            && self.injector.is_none()
-            && !self.config.halt_on_violation
-            && !self.config.trap_host_on_violation;
+        let block = self.block_dispatch();
         loop {
             let Some(i) = self.next_host() else {
                 return self.hosts[0].halt;
@@ -1002,7 +1022,7 @@ impl SystemOnChip {
         // Queue full: stall the commit stage until the Log Writer frees a
         // slot.
         if block && self.queue.is_full() {
-            // Event-driven form of the wait below (no probe attached in
+            // Event-driven form of the wait below (no recorder attached in
             // block mode); the stall total is the same ticks the per-cycle
             // loop would have burned, skipped ones included.
             let before = self.bg_cycle;
