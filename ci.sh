@@ -21,6 +21,18 @@ echo "==> benchmark check (separate workspace: build, unit tests, quick run)"
 # builds; this catches a change that breaks an API it calls.
 benchmark/check.sh
 
+echo "==> campaign smoke (cold run, then a warm run from its cache, byte-identical)"
+# The result cache is keyed by job parameters, not by the code, so a cache
+# left by an earlier build could replay stale tables: the cold run fills a
+# fresh directory, and the warm run must reproduce it byte for byte.
+campaign_dir=$(mktemp -d)
+cargo run --release -p titancfi-bench --bin campaign -- \
+    -j 4 --tables-only --cache-dir "$campaign_dir/cache" > "$campaign_dir/cold.txt"
+cargo run --release -p titancfi-bench --bin campaign -- \
+    -j 4 --tables-only --cache-dir "$campaign_dir/cache" > "$campaign_dir/warm.txt"
+cmp "$campaign_dir/cold.txt" "$campaign_dir/warm.txt"
+rm -rf "$campaign_dir"
+
 echo "==> trace smoke (instrumented run + Perfetto export)"
 trace_dir=$(mktemp -d)
 cargo run --release -p titancfi-bench --bin trace -- \
@@ -35,10 +47,12 @@ rm -rf "$trace_dir"
 
 echo "==> fault-campaign smoke (every class detected or recovered, no hangs)"
 # The faults binary exits nonzero if any injected fault was neither
-# detected nor recovered, or any scenario exhausted its cycle budget.
+# detected nor recovered, or any scenario exhausted its cycle budget. A
+# fresh cache directory makes every scenario run on this build instead of
+# replaying an earlier build's cached results.
 fault_dir=$(mktemp -d)
 cargo run --release -p titancfi-bench --bin faults -- \
-    --smoke --verbose --out "$fault_dir/fault-matrix.txt"
+    --smoke --verbose --cache-dir "$fault_dir/cache" --out "$fault_dir/fault-matrix.txt"
 test -s "$fault_dir/fault-matrix.txt" || { echo "fault smoke: matrix missing/empty"; exit 1; }
 rm -rf "$fault_dir"
 

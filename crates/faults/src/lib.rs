@@ -18,7 +18,6 @@
 #![forbid(unsafe_code)]
 
 use std::fmt;
-use std::sync::{Arc, Mutex};
 use titancfi_harness::Xoshiro256;
 
 /// The classes of fault the injector can produce, one per injection site
@@ -328,14 +327,35 @@ impl Ledger {
     }
 }
 
-#[derive(Debug)]
-struct Inner {
+/// The seeded fault source and ledger. The Log Writer owns it and draws at
+/// its AXI-beat and doorbell sites; the SoC reaches it through the writer
+/// for the firmware check-entry site. One owner means one PRNG stream, so
+/// the schedule is a pure function of the configuration and the order of
+/// the draws.
+#[derive(Debug, Clone)]
+pub struct FaultInjector {
     config: FaultConfig,
     rng: Xoshiro256,
     ledgers: [Ledger; FaultClass::ALL.len()],
 }
 
-impl Inner {
+impl FaultInjector {
+    /// A fresh injector; the schedule is fully determined by `config`.
+    #[must_use]
+    pub fn new(config: FaultConfig) -> FaultInjector {
+        FaultInjector {
+            config,
+            rng: Xoshiro256::new(config.seed),
+            ledgers: [Ledger::default(); FaultClass::ALL.len()],
+        }
+    }
+
+    /// The configuration this injector was built with.
+    #[must_use]
+    pub fn config(&self) -> FaultConfig {
+        self.config
+    }
+
     /// One-in-`rate` draw; 0 disables, 1 always fires. The PRNG is consumed
     /// only for enabled classes so a disabled injector is stream-inert.
     fn fires(&mut self, rate: u32) -> bool {
@@ -345,90 +365,59 @@ impl Inner {
     fn inject(&mut self, class: FaultClass) {
         self.ledgers[class.index()].inject();
     }
-}
-
-/// The seeded fault source and ledger, shared between the Log Writer, the
-/// mailbox path, and the SoC's firmware scheduler. Cloning is cheap and all
-/// clones share one PRNG stream and ledger.
-#[derive(Debug, Clone)]
-pub struct FaultInjector {
-    inner: Arc<Mutex<Inner>>,
-}
-
-impl FaultInjector {
-    /// A fresh injector; the schedule is fully determined by `config`.
-    #[must_use]
-    pub fn new(config: FaultConfig) -> FaultInjector {
-        FaultInjector {
-            inner: Arc::new(Mutex::new(Inner {
-                config,
-                rng: Xoshiro256::new(config.seed),
-                ledgers: [Ledger::default(); FaultClass::ALL.len()],
-            })),
-        }
-    }
-
-    /// The configuration this injector was built with.
-    #[must_use]
-    pub fn config(&self) -> FaultConfig {
-        self.inner.lock().expect("injector lock").config
-    }
 
     /// Injection site: the Log Writer is about to issue AXI write beat
     /// `beat` of a log. At most one fault fires per beat (error wins over
     /// flip wins over latency, so rates compose predictably).
-    pub fn beat_fault(&self, beat: usize) -> BeatFault {
+    pub fn beat_fault(&mut self, beat: usize) -> BeatFault {
         let _ = beat;
-        let mut g = self.inner.lock().expect("injector lock");
-        let cfg = g.config;
-        if g.fires(cfg.axi_beat_error) {
-            g.inject(FaultClass::AxiBeatError);
+        let cfg = self.config;
+        if self.fires(cfg.axi_beat_error) {
+            self.inject(FaultClass::AxiBeatError);
             return BeatFault::Error;
         }
-        if g.fires(cfg.bit_flip) {
-            g.inject(FaultClass::BitFlip);
-            let word = g.rng.below(2) as usize;
-            let bit = g.rng.below(32) as u32;
+        if self.fires(cfg.bit_flip) {
+            self.inject(FaultClass::BitFlip);
+            let word = self.rng.below(2) as usize;
+            let bit = self.rng.below(32) as u32;
             return BeatFault::BitFlip { word, bit };
         }
-        if g.fires(cfg.axi_extra_latency) {
-            g.inject(FaultClass::AxiExtraLatency);
-            let extra = 1 + g.rng.below(cfg.max_extra_latency.max(1));
+        if self.fires(cfg.axi_extra_latency) {
+            self.inject(FaultClass::AxiExtraLatency);
+            let extra = 1 + self.rng.below(cfg.max_extra_latency.max(1));
             return BeatFault::ExtraLatency(extra);
         }
         BeatFault::None
     }
 
     /// Injection site: the Log Writer is about to ring the doorbell.
-    pub fn ring_fault(&self) -> RingFault {
-        let mut g = self.inner.lock().expect("injector lock");
-        let cfg = g.config;
-        if g.fires(cfg.doorbell_drop) {
-            g.inject(FaultClass::DoorbellDrop);
+    pub fn ring_fault(&mut self) -> RingFault {
+        let cfg = self.config;
+        if self.fires(cfg.doorbell_drop) {
+            self.inject(FaultClass::DoorbellDrop);
             return RingFault::Drop;
         }
-        if g.fires(cfg.doorbell_delay) {
-            g.inject(FaultClass::DoorbellDelay);
-            let delay = 1 + g.rng.below(cfg.max_doorbell_delay.max(1));
+        if self.fires(cfg.doorbell_delay) {
+            self.inject(FaultClass::DoorbellDelay);
+            let delay = 1 + self.rng.below(cfg.max_doorbell_delay.max(1));
             return RingFault::Delay(delay);
         }
         RingFault::None
     }
 
     /// Injection site: the RoT firmware is entering a check (doorbell seen).
-    pub fn check_fault(&self) -> CheckFault {
-        let mut g = self.inner.lock().expect("injector lock");
-        let cfg = g.config;
-        if g.fires(cfg.firmware_trap) {
-            g.inject(FaultClass::FirmwareTrap);
+    pub fn check_fault(&mut self) -> CheckFault {
+        let cfg = self.config;
+        if self.fires(cfg.firmware_trap) {
+            self.inject(FaultClass::FirmwareTrap);
             return CheckFault::Trap;
         }
-        if g.fires(cfg.firmware_hang) {
-            g.inject(FaultClass::FirmwareHang);
+        if self.fires(cfg.firmware_hang) {
+            self.inject(FaultClass::FirmwareHang);
             return CheckFault::Hang;
         }
-        if g.fires(cfg.firmware_glitch) {
-            g.inject(FaultClass::FirmwareGlitch);
+        if self.fires(cfg.firmware_glitch) {
+            self.inject(FaultClass::FirmwareGlitch);
             return CheckFault::Glitch;
         }
         CheckFault::None
@@ -436,45 +425,35 @@ impl FaultInjector {
 
     /// Feedback: the resilience layer flagged faults of `class` (AXI error
     /// response observed, integrity check rejected a ring, trap reported).
-    pub fn note_detected(&self, class: FaultClass) {
-        self.inner.lock().expect("injector lock").ledgers[class.index()].detect();
+    pub fn note_detected(&mut self, class: FaultClass) {
+        self.ledgers[class.index()].detect();
     }
 
     /// Feedback: the watchdog fired — every fault still silently pending on
     /// the in-flight transaction is now detected.
-    pub fn note_watchdog(&self) {
-        let mut g = self.inner.lock().expect("injector lock");
-        for l in &mut g.ledgers {
-            l.detect();
-        }
+    pub fn note_watchdog(&mut self) {
+        self.ledgers.iter_mut().for_each(Ledger::detect);
     }
 
     /// Feedback: the in-flight log completed end-to-end — every pending
     /// fault was absorbed by the transport and counts as recovered.
-    pub fn note_completed(&self) {
-        let mut g = self.inner.lock().expect("injector lock");
-        for l in &mut g.ledgers {
-            l.complete();
-        }
+    pub fn note_completed(&mut self) {
+        self.ledgers.iter_mut().for_each(Ledger::complete);
     }
 
     /// Feedback: retries were exhausted (or the RoT trapped) and the
     /// escalation policy fired — every pending fault is accounted to it.
-    pub fn note_escalated(&self) {
-        let mut g = self.inner.lock().expect("injector lock");
-        for l in &mut g.ledgers {
-            l.escalate();
-        }
+    pub fn note_escalated(&mut self) {
+        self.ledgers.iter_mut().for_each(Ledger::escalate);
     }
 
     /// Snapshot the ledger.
     #[must_use]
     pub fn report(&self) -> FaultReport {
-        let g = self.inner.lock().expect("injector lock");
         FaultReport {
             classes: FaultClass::ALL
                 .iter()
-                .map(|c| (*c, g.ledgers[c.index()].snapshot()))
+                .map(|c| (*c, self.ledgers[c.index()].snapshot()))
                 .collect(),
         }
     }
@@ -486,7 +465,7 @@ mod tests {
 
     #[test]
     fn disabled_config_never_fires() {
-        let inj = FaultInjector::new(FaultConfig::none(42));
+        let mut inj = FaultInjector::new(FaultConfig::none(42));
         for beat in 0..1000 {
             assert_eq!(inj.beat_fault(beat % 4), BeatFault::None);
             assert_eq!(inj.ring_fault(), RingFault::None);
@@ -508,7 +487,7 @@ mod tests {
                 firmware_glitch: 13,
                 ..FaultConfig::none(seed)
             };
-            let inj = FaultInjector::new(cfg);
+            let mut inj = FaultInjector::new(cfg);
             let mut schedule = Vec::new();
             for i in 0..500 {
                 schedule.push((inj.beat_fault(i % 4), inj.ring_fault(), inj.check_fault()));
@@ -521,7 +500,7 @@ mod tests {
 
     #[test]
     fn rate_one_always_fires() {
-        let inj = FaultInjector::new(FaultConfig::only(FaultClass::DoorbellDrop, 1, 9));
+        let mut inj = FaultInjector::new(FaultConfig::only(FaultClass::DoorbellDrop, 1, 9));
         for _ in 0..10 {
             assert_eq!(inj.ring_fault(), RingFault::Drop);
         }
@@ -530,7 +509,7 @@ mod tests {
 
     #[test]
     fn ledger_tracks_detection_and_recovery() {
-        let inj = FaultInjector::new(FaultConfig::only(FaultClass::DoorbellDrop, 1, 9));
+        let mut inj = FaultInjector::new(FaultConfig::only(FaultClass::DoorbellDrop, 1, 9));
         assert_eq!(inj.ring_fault(), RingFault::Drop);
         let mid = inj.report().class(FaultClass::DoorbellDrop);
         assert_eq!(mid.injected, 1);
@@ -546,7 +525,7 @@ mod tests {
 
     #[test]
     fn escalation_counts_as_detection() {
-        let inj = FaultInjector::new(FaultConfig::only(FaultClass::BitFlip, 1, 3));
+        let mut inj = FaultInjector::new(FaultConfig::only(FaultClass::BitFlip, 1, 3));
         let fault = inj.beat_fault(0);
         assert!(matches!(fault, BeatFault::BitFlip { .. }));
         inj.note_escalated();

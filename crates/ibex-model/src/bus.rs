@@ -9,6 +9,7 @@
 //! latency to the core's cycle count.
 
 use riscv_isa::{Bus, MemFault, MemWidth};
+use std::any::Any;
 use std::fmt;
 
 /// Classification of a bus region, mirroring the paper's cost split.
@@ -53,12 +54,14 @@ impl RegionLatency {
 /// A memory-mapped device (mailbox registers, interrupt controller, ...).
 ///
 /// Offsets are relative to the device's base address. Devices are registered
-/// on the bus with a region kind and latency like RAM regions.
+/// on the bus with a region kind and latency like RAM regions, and the bus
+/// owns them: embedders reach a device's state through
+/// [`SystemBus::device`] / [`SystemBus::device_mut`], typed by `Any`.
 ///
 /// `Send` is part of the contract so a whole simulated SoC can move between
-/// threads — fleet shards hand devices to whichever worker steals them. The
-/// existing implementations all qualify (plain state or `Arc<Mutex<_>>`).
-pub trait Device: Send {
+/// threads — fleet shards hand devices to whichever worker steals them.
+/// Devices are plain register state, so they qualify without locks.
+pub trait Device: Any + Send {
     /// Reads `width` bytes at `offset`.
     fn read(&mut self, offset: u64, width: MemWidth) -> u64;
 
@@ -195,19 +198,25 @@ impl SystemBus {
         self.last_access.take()
     }
 
-    /// Mutable access to a registered device, downcast by the caller.
+    /// The device of type `T` mapped at `base`.
     ///
-    /// Returns `None` if `base` does not name a device region.
-    pub fn device_at(&mut self, base: u64) -> Option<&mut (dyn Device + '_)> {
-        for r in &mut self.regions {
-            if r.base == base {
-                return match &mut r.backing {
-                    Backing::Dev(d) => Some(&mut **d),
-                    Backing::Ram(_) => None,
-                };
-            }
+    /// Returns `None` if `base` does not name a device region, or names one
+    /// holding another type.
+    #[must_use]
+    pub fn device<T: Device>(&self, base: u64) -> Option<&T> {
+        match &self.regions.iter().find(|r| r.base == base)?.backing {
+            Backing::Dev(d) => (&**d as &dyn Any).downcast_ref(),
+            Backing::Ram(_) => None,
         }
-        None
+    }
+
+    /// Mutable access to the device of type `T` mapped at `base`; `None`
+    /// under the same conditions as [`SystemBus::device`].
+    pub fn device_mut<T: Device>(&mut self, base: u64) -> Option<&mut T> {
+        match &mut self.regions.iter_mut().find(|r| r.base == base)?.backing {
+            Backing::Dev(d) => (&mut **d as &mut dyn Any).downcast_mut(),
+            Backing::Ram(_) => None,
+        }
     }
 
     #[inline]
@@ -310,16 +319,26 @@ mod tests {
     use super::*;
 
     struct Probe {
+        base: u64,
         last: u64,
     }
 
     impl Device for Probe {
         fn read(&mut self, offset: u64, _width: MemWidth) -> u64 {
-            offset + 0x100
+            offset + self.base
         }
         fn write(&mut self, _offset: u64, _width: MemWidth, value: u64) {
             self.last = value;
         }
+    }
+
+    struct Other;
+
+    impl Device for Other {
+        fn read(&mut self, _offset: u64, _width: MemWidth) -> u64 {
+            0
+        }
+        fn write(&mut self, _offset: u64, _width: MemWidth, _value: u64) {}
     }
 
     #[test]
@@ -347,13 +366,31 @@ mod tests {
             0x40,
             RegionKind::Soc,
             RegionLatency::symmetric(12),
-            Box::new(Probe { last: 0 }),
+            Box::new(Probe {
+                base: 0x100,
+                last: 0,
+            }),
         );
         assert_eq!(bus.read(0x2004, MemWidth::W).expect("read"), 0x104);
         assert_eq!(bus.take_access().expect("tag").kind, RegionKind::Soc);
         bus.write(0x2000, MemWidth::W, 7).expect("write");
-        // Downcast-free check via behaviour: writes recorded in device.
-        assert!(bus.device_at(0x2000).is_some());
+        // The right type returns the device the bus wrote into...
+        assert_eq!(bus.device::<Probe>(0x2000).expect("probe").last, 7);
+        // ...and a write through it is seen by a bus read.
+        bus.device_mut::<Probe>(0x2000).expect("probe").base = 0x200;
+        assert_eq!(bus.read(0x2004, MemWidth::W).expect("read"), 0x204);
+        // A wrong type, a RAM base or an unmapped base names no device.
+        assert!(bus.device::<Other>(0x2000).is_none());
+        assert!(bus.device_mut::<Other>(0x2000).is_none());
+        bus.add_ram(
+            0x1000,
+            0x100,
+            RegionKind::RotPrivate,
+            RegionLatency::symmetric(1),
+        );
+        assert!(bus.device::<Probe>(0x1000).is_none());
+        assert!(bus.device_mut::<Probe>(0x1000).is_none());
+        assert!(bus.device::<Probe>(0x3000).is_none());
     }
 
     #[test]

@@ -11,7 +11,9 @@
 //!   [`sha256`]) used to authenticate CFI metadata spilled to SoC memory,
 //! * the scrambled, ECC-protected embedded [`flash`] (key storage),
 //! * the SCMI-style CFI [`mailbox`] and the [`plic`] interrupt path that
-//!   deliver commit logs from the host domain.
+//!   deliver commit logs from the host domain,
+//! * the register-level SCMI system channel ([`scmi_wire`]) that serves
+//!   version and remote-attestation requests.
 //!
 //! [`OpenTitan::new`] composes all of it around an assembled firmware image;
 //! [`LatencyProfile`] selects between the paper's baseline and "Optimized"
@@ -23,7 +25,6 @@ pub mod hmac;
 pub mod mailbox;
 pub mod plic;
 pub mod rot;
-pub mod scmi;
 pub mod scmi_wire;
 pub mod secure_boot;
 pub mod sha256;
@@ -34,6 +35,5 @@ pub use hmac::HmacEngine;
 pub use mailbox::CfiMailbox;
 pub use plic::Plic;
 pub use rot::{LatencyProfile, OpenTitan};
-pub use scmi::{ScmiMailbox, ScmiRequest, ScmiResponse, ScmiService};
 pub use scmi_wire::{ScmiWire, ScmiWireService};
 pub use secure_boot::{boot, provision, BootError, BootReport};

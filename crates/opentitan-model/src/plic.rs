@@ -9,7 +9,6 @@
 
 use ibex_model::Device;
 use riscv_isa::MemWidth;
-use std::sync::{Arc, Mutex};
 
 /// Register offsets.
 pub mod regs {
@@ -23,16 +22,12 @@ pub mod regs {
 /// Interrupt source id of the CFI mailbox doorbell.
 pub const SRC_CFI_MAILBOX: u32 = 1;
 
+/// The PLIC register state: platform glue raises and lowers sources, the
+/// RoT claims and completes them over the bus.
 #[derive(Debug, Default)]
-struct Shared {
+pub struct Plic {
     pending: u32,
     in_service: u32,
-}
-
-/// The PLIC state, shared with platform glue that raises interrupts.
-#[derive(Debug, Clone, Default)]
-pub struct Plic {
-    shared: Arc<Mutex<Shared>>,
 }
 
 impl Plic {
@@ -43,48 +38,35 @@ impl Plic {
     }
 
     /// Raises source `src` (level-sensitive; platform glue calls this).
-    pub fn raise(&self, src: u32) {
-        self.shared.lock().expect("plic lock").pending |= 1 << src;
+    pub fn raise(&mut self, src: u32) {
+        self.pending |= 1 << src;
     }
 
     /// Lowers source `src`.
-    pub fn lower(&self, src: u32) {
-        self.shared.lock().expect("plic lock").pending &= !(1 << src);
+    pub fn lower(&mut self, src: u32) {
+        self.pending &= !(1 << src);
     }
 
     /// Whether any source is pending and not already in service — drives
     /// the Ibex `mip.MEIP` line.
     #[must_use]
     pub fn irq_line(&self) -> bool {
-        let s = self.shared.lock().expect("plic lock");
-        s.pending & !s.in_service != 0
-    }
-
-    /// The RoT-side bus device view.
-    #[must_use]
-    pub fn device(&self) -> Box<dyn Device> {
-        Box::new(PlicDevice {
-            shared: Arc::clone(&self.shared),
-        })
+        self.pending & !self.in_service != 0
     }
 }
 
-struct PlicDevice {
-    shared: Arc<Mutex<Shared>>,
-}
-
-impl Device for PlicDevice {
+/// The RoT side of the controller.
+impl Device for Plic {
     fn read(&mut self, offset: u64, _width: MemWidth) -> u64 {
-        let mut s = self.shared.lock().expect("plic lock");
         match offset {
-            regs::PENDING => u64::from(s.pending),
+            regs::PENDING => u64::from(self.pending),
             regs::CLAIM_COMPLETE => {
-                let claimable = s.pending & !s.in_service;
+                let claimable = self.pending & !self.in_service;
                 if claimable == 0 {
                     0
                 } else {
                     let src = claimable.trailing_zeros();
-                    s.in_service |= 1 << src;
+                    self.in_service |= 1 << src;
                     u64::from(src)
                 }
             }
@@ -93,9 +75,8 @@ impl Device for PlicDevice {
     }
 
     fn write(&mut self, offset: u64, _width: MemWidth, value: u64) {
-        let mut s = self.shared.lock().expect("plic lock");
         if offset == regs::CLAIM_COMPLETE {
-            s.in_service &= !(1u32 << (value as u32 & 31));
+            self.in_service &= !(1u32 << (value as u32 & 31));
         }
     }
 }
@@ -106,19 +87,18 @@ mod tests {
 
     #[test]
     fn claim_complete_cycle() {
-        let plic = Plic::new();
-        let mut dev = plic.device();
+        let mut plic = Plic::new();
         plic.raise(SRC_CFI_MAILBOX);
         assert!(plic.irq_line());
         // Claim returns the source and masks the line.
         assert_eq!(
-            dev.read(regs::CLAIM_COMPLETE, MemWidth::W),
+            plic.read(regs::CLAIM_COMPLETE, MemWidth::W),
             u64::from(SRC_CFI_MAILBOX)
         );
         assert!(!plic.irq_line(), "in-service source does not re-interrupt");
         // Source deasserts, firmware completes.
         plic.lower(SRC_CFI_MAILBOX);
-        dev.write(
+        plic.write(
             regs::CLAIM_COMPLETE,
             MemWidth::W,
             u64::from(SRC_CFI_MAILBOX),
@@ -131,18 +111,16 @@ mod tests {
 
     #[test]
     fn claim_with_nothing_pending_returns_zero() {
-        let plic = Plic::new();
-        let mut dev = plic.device();
-        assert_eq!(dev.read(regs::CLAIM_COMPLETE, MemWidth::W), 0);
+        let mut plic = Plic::new();
+        assert_eq!(plic.read(regs::CLAIM_COMPLETE, MemWidth::W), 0);
     }
 
     #[test]
     fn lowest_source_wins() {
-        let plic = Plic::new();
-        let mut dev = plic.device();
+        let mut plic = Plic::new();
         plic.raise(3);
         plic.raise(1);
-        assert_eq!(dev.read(regs::CLAIM_COMPLETE, MemWidth::W), 1);
-        assert_eq!(dev.read(regs::CLAIM_COMPLETE, MemWidth::W), 3);
+        assert_eq!(plic.read(regs::CLAIM_COMPLETE, MemWidth::W), 1);
+        assert_eq!(plic.read(regs::CLAIM_COMPLETE, MemWidth::W), 3);
     }
 }

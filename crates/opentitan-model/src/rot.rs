@@ -74,12 +74,9 @@ impl LatencyProfile {
 /// The composed root of trust.
 #[derive(Debug)]
 pub struct OpenTitan {
-    /// The Ibex security microcontroller.
+    /// The Ibex security microcontroller. Its bus owns the CFI mailbox and
+    /// the interrupt controller ([`OpenTitan::mailbox`]).
     pub core: IbexCore,
-    /// Shared handle to the CFI mailbox (the host side holds a clone).
-    pub mailbox: CfiMailbox,
-    /// Shared handle to the interrupt controller.
-    pub plic: Plic,
     /// The HMAC accelerator (used by policies to authenticate spills).
     pub hmac: HmacEngine,
     /// The scrambled, ECC-protected embedded flash (key storage).
@@ -100,8 +97,6 @@ impl OpenTitan {
             firmware.base >= map::SRAM_BASE && firmware.end() <= map::SRAM_BASE + map::SRAM_SIZE,
             "firmware image must live in the RoT scratchpad"
         );
-        let mailbox = CfiMailbox::new();
-        let plic = Plic::new();
         let mut bus = SystemBus::new();
         bus.add_ram(
             map::SRAM_BASE,
@@ -114,14 +109,14 @@ impl OpenTitan {
             map::PLIC_SIZE,
             RegionKind::Soc,
             profile.soc,
-            plic.device(),
+            Box::new(Plic::new()),
         );
         bus.add_device(
             map::MAILBOX_BASE,
             map::MAILBOX_SIZE,
             RegionKind::Soc,
             profile.soc,
-            mailbox.device(),
+            Box::new(CfiMailbox::new()),
         );
         bus.add_ram(
             map::SOC_RAM_BASE,
@@ -136,30 +131,46 @@ impl OpenTitan {
             .set_reg(riscv_isa::Reg::SP, map::SRAM_BASE + map::SRAM_SIZE - 16);
         OpenTitan {
             core,
-            mailbox,
-            plic,
             hmac: HmacEngine::new(b"titancfi-device-unique-key"),
             flash: Flash::new(4096, 0x0123_4567_89ab_cdef),
         }
     }
 
-    /// Propagates the mailbox doorbell through the PLIC to the Ibex
-    /// external-interrupt line. Call once per co-simulation step.
-    pub fn sync_irq(&mut self) {
-        let doorbell = self.mailbox.doorbell_pending();
-        self.sync_irq_level(doorbell);
+    /// The CFI mailbox on the RoT bus.
+    #[must_use]
+    pub fn mailbox(&self) -> &CfiMailbox {
+        self.core
+            .bus
+            .device(map::MAILBOX_BASE)
+            .expect("mailbox is mapped")
     }
 
-    /// [`OpenTitan::sync_irq`] with the doorbell level supplied by the
-    /// caller — event-driven schedulers cache the level to avoid re-locking
-    /// the mailbox on every processed tick. Idempotent for a given level.
-    pub fn sync_irq_level(&mut self, doorbell: bool) {
+    /// Mutable access to the CFI mailbox — the host-side Log Writer's port.
+    pub fn mailbox_mut(&mut self) -> &mut CfiMailbox {
+        self.core
+            .bus
+            .device_mut(map::MAILBOX_BASE)
+            .expect("mailbox is mapped")
+    }
+
+    /// Propagates the mailbox doorbell through the PLIC to the Ibex
+    /// external-interrupt line, and returns the doorbell level. Idempotent
+    /// until the doorbell or the PLIC state moves.
+    pub fn sync_irq(&mut self) -> bool {
+        let doorbell = self.mailbox().doorbell_pending();
+        let plic: &mut Plic = self
+            .core
+            .bus
+            .device_mut(map::PLIC_BASE)
+            .expect("PLIC is mapped");
         if doorbell {
-            self.plic.raise(SRC_CFI_MAILBOX);
+            plic.raise(SRC_CFI_MAILBOX);
         } else {
-            self.plic.lower(SRC_CFI_MAILBOX);
+            plic.lower(SRC_CFI_MAILBOX);
         }
-        self.core.set_irq(csr::MIX_MEIP, self.plic.irq_line());
+        let line = plic.irq_line();
+        self.core.set_irq(csr::MIX_MEIP, line);
+        doorbell
     }
 }
 
@@ -185,7 +196,7 @@ mod tests {
         rot.core.hart.csrs.mie = csr::MIX_MEIP;
         rot.sync_irq();
         assert_eq!(rot.core.hart.csrs.mip & csr::MIX_MEIP, 0);
-        rot.mailbox.host_ring_doorbell();
+        rot.mailbox_mut().host_ring_doorbell();
         rot.sync_irq();
         assert_ne!(rot.core.hart.csrs.mip & csr::MIX_MEIP, 0);
     }

@@ -1,11 +1,10 @@
 //! Register-level SCMI channel: the wire format of the system mailbox.
 //!
-//! [`crate::scmi`] models the message-level protocol; this module is the
-//! memory-mapped view the *host software* actually programs (paper §III-B:
-//! "a set of general-purpose memory mapped registers meant for data
-//! sharing" plus doorbell/completion). The SoC maps it into the host
-//! address space; the RoT-side [`ScmiWireService`] polls the doorbell and
-//! serves version and attestation requests.
+//! This is the memory-mapped view the *host software* programs (paper
+//! §III-B: "a set of general-purpose memory mapped registers meant for data
+//! sharing" plus doorbell/completion). Each host bus owns one channel in
+//! its address space; the RoT-side [`ScmiWireService`] polls a channel's
+//! doorbell and serves version and attestation requests.
 //!
 //! Register map (byte offsets):
 //!
@@ -20,7 +19,6 @@
 
 use crate::attestation::{Attestor, Challenge};
 use crate::sha256::DIGEST_LEN;
-use std::sync::{Arc, Mutex};
 
 /// Window size in bytes.
 pub const WINDOW: u64 = 0x100;
@@ -45,23 +43,18 @@ pub mod regs {
     pub const RESPONSE: u64 = 0x40;
 }
 
+/// The register file of one SCMI channel.
 #[derive(Debug)]
-struct Wire {
+pub struct ScmiWire {
     bytes: [u8; WINDOW as usize],
 }
 
-impl Default for Wire {
-    fn default() -> Wire {
-        Wire {
+impl Default for ScmiWire {
+    fn default() -> ScmiWire {
+        ScmiWire {
             bytes: [0; WINDOW as usize],
         }
     }
-}
-
-/// The shared register file of the SCMI channel.
-#[derive(Debug, Clone, Default)]
-pub struct ScmiWire {
-    shared: Arc<Mutex<Wire>>,
 }
 
 impl ScmiWire {
@@ -78,10 +71,9 @@ impl ScmiWire {
     /// Panics if the access crosses the window end.
     #[must_use]
     pub fn host_read(&self, offset: u64, len: u64) -> u64 {
-        let w = self.shared.lock().expect("scmi wire lock");
         let mut v = 0u64;
         for i in (0..len).rev() {
-            v = v << 8 | u64::from(w.bytes[(offset + i) as usize]);
+            v = v << 8 | u64::from(self.bytes[(offset + i) as usize]);
         }
         v
     }
@@ -91,10 +83,9 @@ impl ScmiWire {
     /// # Panics
     ///
     /// Panics if the access crosses the window end.
-    pub fn host_write(&self, offset: u64, len: u64, value: u64) {
-        let mut w = self.shared.lock().expect("scmi wire lock");
+    pub fn host_write(&mut self, offset: u64, len: u64, value: u64) {
         for i in 0..len {
-            w.bytes[(offset + i) as usize] = (value >> (8 * i)) as u8;
+            self.bytes[(offset + i) as usize] = (value >> (8 * i)) as u8;
         }
     }
 
@@ -103,10 +94,9 @@ impl ScmiWire {
     }
 }
 
-/// The RoT-side servant: polls the doorbell and serves requests.
+/// The RoT-side servant: polls a channel's doorbell and serves requests.
 #[derive(Debug)]
 pub struct ScmiWireService {
-    wire: ScmiWire,
     attestor: Attestor,
     version: u32,
     /// Requests served.
@@ -116,11 +106,10 @@ pub struct ScmiWireService {
 }
 
 impl ScmiWireService {
-    /// A service over `wire`, attesting the booted `image`.
+    /// A service attesting the booted `image`.
     #[must_use]
-    pub fn new(wire: ScmiWire, attestation_key: &[u8], image: &[u8]) -> ScmiWireService {
+    pub fn new(attestation_key: &[u8], image: &[u8]) -> ScmiWireService {
         ScmiWireService {
-            wire,
             attestor: Attestor::new(attestation_key, image),
             version: 0x0001_0000,
             served: 0,
@@ -128,22 +117,22 @@ impl ScmiWireService {
         }
     }
 
-    /// Serves at most one pending request. Returns whether one was served.
-    pub fn poll(&mut self) -> bool {
-        if !self.wire.doorbell() {
+    /// Serves at most one pending request on `wire`. Returns whether one
+    /// was served.
+    pub fn poll(&mut self, wire: &mut ScmiWire) -> bool {
+        if !wire.doorbell() {
             return false;
         }
-        let msg = self.wire.host_read(regs::MSG_TYPE, 4) as u32;
+        let msg = wire.host_read(regs::MSG_TYPE, 4) as u32;
         match msg {
             MSG_VERSION => {
-                self.wire
-                    .host_write(regs::RESPONSE, 4, u64::from(self.version));
-                self.wire.host_write(regs::STATUS, 4, 0);
+                wire.host_write(regs::RESPONSE, 4, u64::from(self.version));
+                wire.host_write(regs::STATUS, 4, 0);
             }
             MSG_ATTEST => {
                 let mut nonce = [0u8; 16];
                 for (i, b) in nonce.iter_mut().enumerate() {
-                    *b = self.wire.host_read(regs::REQUEST + i as u64, 1) as u8;
+                    *b = wire.host_read(regs::REQUEST + i as u64, 1) as u8;
                 }
                 let report = self.attestor.attest(&Challenge { nonce });
                 self.auth_cycles += report.cycles;
@@ -153,18 +142,17 @@ impl ScmiWireService {
                     .chain(report.nonce.iter())
                     .chain(report.tag.iter());
                 for (i, b) in payload.enumerate() {
-                    self.wire
-                        .host_write(regs::RESPONSE + i as u64, 1, u64::from(*b));
+                    wire.host_write(regs::RESPONSE + i as u64, 1, u64::from(*b));
                 }
-                self.wire.host_write(regs::STATUS, 4, 0);
+                wire.host_write(regs::STATUS, 4, 0);
             }
             _ => {
-                self.wire.host_write(regs::STATUS, 4, 1);
+                wire.host_write(regs::STATUS, 4, 1);
             }
         }
         // Clear the doorbell, signal completion.
-        self.wire.host_write(regs::DOORBELL, 4, 0);
-        self.wire.host_write(regs::COMPLETION, 4, 1);
+        wire.host_write(regs::DOORBELL, 4, 0);
+        wire.host_write(regs::COMPLETION, 4, 1);
         self.served += 1;
         true
     }
@@ -212,11 +200,11 @@ mod tests {
 
     #[test]
     fn version_over_the_wire() {
-        let wire = ScmiWire::new();
-        let mut svc = ScmiWireService::new(wire.clone(), KEY, IMAGE);
+        let mut wire = ScmiWire::new();
+        let mut svc = ScmiWireService::new(KEY, IMAGE);
         wire.host_write(regs::MSG_TYPE, 4, u64::from(MSG_VERSION));
         wire.host_write(regs::DOORBELL, 4, 1);
-        assert!(svc.poll());
+        assert!(svc.poll(&mut wire));
         assert_eq!(wire.host_read(regs::COMPLETION, 4), 1);
         assert_eq!(wire.host_read(regs::STATUS, 4), 0);
         assert_eq!(wire.host_read(regs::RESPONSE, 4), 0x0001_0000);
@@ -224,15 +212,15 @@ mod tests {
 
     #[test]
     fn attestation_over_the_wire_verifies() {
-        let wire = ScmiWire::new();
-        let mut svc = ScmiWireService::new(wire.clone(), KEY, IMAGE);
+        let mut wire = ScmiWire::new();
+        let mut svc = ScmiWireService::new(KEY, IMAGE);
         let nonce = [0xabu8; 16];
         wire.host_write(regs::MSG_TYPE, 4, u64::from(MSG_ATTEST));
         for (i, b) in nonce.iter().enumerate() {
             wire.host_write(regs::REQUEST + i as u64, 1, u64::from(*b));
         }
         wire.host_write(regs::DOORBELL, 4, 1);
-        assert!(svc.poll());
+        assert!(svc.poll(&mut wire));
         let report = read_report(&wire);
         assert!(verify_report(
             &report,
@@ -245,19 +233,19 @@ mod tests {
 
     #[test]
     fn unknown_message_sets_error_status() {
-        let wire = ScmiWire::new();
-        let mut svc = ScmiWireService::new(wire.clone(), KEY, IMAGE);
+        let mut wire = ScmiWire::new();
+        let mut svc = ScmiWireService::new(KEY, IMAGE);
         wire.host_write(regs::MSG_TYPE, 4, 99);
         wire.host_write(regs::DOORBELL, 4, 1);
-        assert!(svc.poll());
+        assert!(svc.poll(&mut wire));
         assert_eq!(wire.host_read(regs::STATUS, 4), 1);
     }
 
     #[test]
     fn idle_poll_is_noop() {
-        let wire = ScmiWire::new();
-        let mut svc = ScmiWireService::new(wire, KEY, IMAGE);
-        assert!(!svc.poll());
+        let mut wire = ScmiWire::new();
+        let mut svc = ScmiWireService::new(KEY, IMAGE);
+        assert!(!svc.poll(&mut wire));
         assert_eq!(svc.served, 0);
     }
 }

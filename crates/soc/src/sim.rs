@@ -10,9 +10,9 @@
 //! exceptions.
 //!
 //! One engine serves any number of host cores. Each core keeps its own CFI
-//! filter and halt state; all of them feed the one *background* — queue,
-//! Log Writer, mailbox, RoT and SCMI service — and the run loop steps the
-//! live core that is furthest behind. [`SystemOnChip`] is the single-core
+//! filter, halt state and SCMI channel; all of them feed the one
+//! *background* — queue, Log Writer, mailbox, RoT and SCMI service — and
+//! the run loop steps the live core that is furthest behind. [`SystemOnChip`] is the single-core
 //! case, and `DualHostSoc` wraps the same engine around two cores.
 //!
 //! Two schedulers drive the engine, observationally identical:
@@ -31,7 +31,7 @@
 use crate::hostbus::HostBus;
 use cva6_model::{Commit, Cva6Core, Halt, TimingConfig};
 use opentitan_model::rot::LatencyProfile;
-use opentitan_model::{OpenTitan, ScmiWire, ScmiWireService};
+use opentitan_model::{OpenTitan, ScmiWireService};
 use riscv_asm::Program;
 use titancfi::firmware::{build_firmware, FirmwareKind};
 use titancfi::{
@@ -207,14 +207,6 @@ pub struct SystemOnChip {
     /// writer has not yet run to observe it. Forces one writer tick at the
     /// head of the next [`SystemOnChip::advance_background_fast`].
     bg_poke: bool,
-    /// Cached mailbox doorbell level as of the last event-driven advance.
-    /// Sound because the mailbox is PMP-protected (no host can ring it), so
-    /// the level only moves inside the advance loop itself — or in
-    /// [`SystemOnChip::tick_once`], which marks the cache stale instead.
-    bg_doorbell: bool,
-    /// Forces a mailbox re-read at the next advance entry (set by the
-    /// per-cycle tick path, whose writer/RoT activity bypasses the cache).
-    bg_doorbell_stale: bool,
     pub(crate) violations: Vec<Violation>,
     trapped_violations: usize,
     scmi_service: ScmiWireService,
@@ -226,8 +218,6 @@ pub struct SystemOnChip {
     cfi_range: (u64, u64),
     /// Whether a firmware `cfi-check` span is currently open.
     fw_checking: bool,
-    /// Fault source, when a schedule is configured.
-    injector: Option<FaultInjector>,
     /// RoT health (injected hangs/traps stop the core from stepping).
     rot_health: RotHealth,
     /// `poll_loop` address of polling firmwares (glitch recovery point);
@@ -285,19 +275,18 @@ impl SystemOnChip {
             _ => LatencyProfile::baseline(),
         };
         let mut rot = OpenTitan::new(fw, profile);
-        // The general SCMI system mailbox (host-accessible): version and
-        // remote-attestation services, attesting the booted CFI firmware.
-        let scmi = ScmiWire::new();
-        let scmi_service =
-            ScmiWireService::new(scmi.clone(), b"titancfi-attestation-key", &fw.bytes);
+        // The general SCMI system mailbox (host-accessible, one channel per
+        // host bus): version and remote-attestation services, attesting the
+        // booted CFI firmware.
+        let scmi_service = ScmiWireService::new(b"titancfi-attestation-key", &fw.bytes);
         let hosts = programs
             .iter()
             .map(|program| {
-                // Host bus: program RAM plus the host-visible mailbox
-                // window, locked down by PMP exactly as the paper's threat
-                // model assumes (software cannot tamper with in-flight
-                // commit logs; only the hardware Log Writer reaches the
-                // mailbox).
+                // Host bus: program RAM, the host's SCMI channel, and the
+                // mailbox window locked down by PMP exactly as the paper's
+                // threat model assumes (software cannot tamper with
+                // in-flight commit logs; only the hardware Log Writer
+                // reaches the mailbox).
                 assert!(
                     program.bytes.len() <= config.mem_size,
                     "program ({} bytes) larger than memory ({})",
@@ -306,9 +295,7 @@ impl SystemOnChip {
                 );
                 let mut bus = HostBus::new(program.base, config.mem_size);
                 bus.load(program.base, &program.bytes);
-                bus.map_mailbox(rot.mailbox.clone());
                 bus.protect_mailbox();
-                bus.map_scmi(scmi.clone());
                 let mut core = Cva6Core::with_bus(bus, program.entry, config.timing);
                 core.hart_mut().set_reg(
                     riscv_isa::Reg::SP,
@@ -359,13 +346,9 @@ impl SystemOnChip {
             FirmwareKind::Irq => 0,
             _ => fw.symbol("poll_loop").expect("poll_loop symbol"),
         };
-        let injector = config
-            .faults
-            .filter(FaultConfig::enabled)
-            .map(FaultInjector::new);
         let mut writer = LogWriter::with_resilience(config.axi, config.resilience);
-        if let Some(inj) = &injector {
-            writer.attach_injector(inj.clone());
+        if let Some(faults) = config.faults.filter(FaultConfig::enabled) {
+            writer.attach_injector(FaultInjector::new(faults));
         }
         // A single host's transport runs with word-7 integrity on: it costs
         // no cycles (the word rides the final AXI beat) and catches
@@ -373,7 +356,7 @@ impl SystemOnChip {
         // hosts word 7 carries the source core id instead, which the banked
         // firmware reads to pick a shadow stack.
         if programs.len() == 1 {
-            rot.mailbox.enable_integrity();
+            rot.mailbox_mut().enable_integrity();
         }
         SystemOnChip {
             hosts,
@@ -384,8 +367,6 @@ impl SystemOnChip {
             config,
             bg_cycle: 0,
             bg_poke: false,
-            bg_doorbell: false,
-            bg_doorbell_stale: true,
             violations: Vec::new(),
             trapped_violations: 0,
             scmi_service,
@@ -393,7 +374,6 @@ impl SystemOnChip {
             latency: None,
             cfi_range,
             fw_checking: false,
-            injector,
             rot_health: RotHealth::Healthy,
             poll_pc,
             log_tap: None,
@@ -511,9 +491,11 @@ impl SystemOnChip {
     fn advance_background(&mut self, until: u64) {
         while self.bg_cycle < until {
             // Fast-forward across true idleness.
-            if self.queue.is_empty() && !self.writer.busy() && !self.rot.mailbox.doorbell_pending()
+            if self.queue.is_empty()
+                && !self.writer.busy()
+                && !self.rot.mailbox().doorbell_pending()
             {
-                self.scmi_service.poll();
+                Self::poll_scmi(&mut self.scmi_service, &mut self.hosts);
                 if let Some(rec) = self.recorder.as_mut() {
                     // The skipped cycles all see an empty queue; record them
                     // in bulk so the occupancy histogram stays per-cycle.
@@ -529,10 +511,14 @@ impl SystemOnChip {
         }
     }
 
+    /// Serves each host's SCMI channel, in core order.
+    fn poll_scmi(service: &mut ScmiWireService, hosts: &mut [Host]) {
+        for host in hosts {
+            service.poll(host.core.bus_mut().scmi_mut());
+        }
+    }
+
     fn tick_once(&mut self) {
-        // This path moves writer/mailbox state without the event-driven
-        // advance's bookkeeping: its cached doorbell must be re-read.
-        self.bg_doorbell_stale = true;
         let mut noprobe = NoProbe;
         let probe: &mut dyn Probe = match (self.recorder.as_mut(), self.latency.as_mut()) {
             (Some(rec), _) => rec,
@@ -542,7 +528,7 @@ impl SystemOnChip {
         // Firmware check span: opens when the doorbell is rung, closes
         // when the firmware's completion write auto-clears it.
         let mut pending_trap: Option<riscv_isa::Trap> = None;
-        let doorbell = self.rot.mailbox.doorbell_pending();
+        let doorbell = self.rot.mailbox().doorbell_pending();
         if doorbell && !self.fw_checking {
             probe.span_begin(Track::Firmware, "cfi-check", self.bg_cycle);
             self.fw_checking = true;
@@ -550,8 +536,8 @@ impl SystemOnChip {
             // state yet, so a glitch here restarts the check idempotently.
             if self.rot_health == RotHealth::Healthy {
                 let fault = self
-                    .injector
-                    .as_ref()
+                    .writer
+                    .injector_mut()
                     .map_or(CheckFault::None, FaultInjector::check_fault);
                 match fault {
                     CheckFault::None => {}
@@ -576,18 +562,20 @@ impl SystemOnChip {
             probe.span_end(Track::Firmware, self.bg_cycle);
             self.fw_checking = false;
         }
-        if let Some(v) =
-            self.writer
-                .tick_probed(self.bg_cycle, &mut self.queue, &self.rot.mailbox, probe)
-        {
+        if let Some(v) = self.writer.tick_probed(
+            self.bg_cycle,
+            &mut self.queue,
+            self.rot.mailbox_mut(),
+            probe,
+        ) {
             self.violations.push(v);
         }
         probe.histogram_record("queue.occupancy", self.queue.len() as u64);
-        self.scmi_service.poll();
+        Self::poll_scmi(&mut self.scmi_service, &mut self.hosts);
         self.rot.sync_irq();
         let runnable = self.rot_health == RotHealth::Healthy
             && (self.rot.core.state() == ibex_model::IbexState::Running
-                || self.rot.mailbox.doorbell_pending());
+                || self.rot.mailbox().doorbell_pending());
         if runnable && self.rot.core.cycle() <= self.bg_cycle {
             match self.rot.core.step_probed(probe) {
                 Ok(commit) => {
@@ -639,21 +627,12 @@ impl SystemOnChip {
         // The host cores are frozen for the whole advance, so a pending SCMI
         // request is served once up front — when the first per-tick poll
         // would have run it. (SCMI and the CFI transport never interact.)
-        self.scmi_service.poll();
-        // The doorbell level is cached across skipped ticks *and* across
-        // advance calls (one mailbox lock per transition instead of per
-        // tick); it only moves when the writer rings it, the RoT completes
-        // a check, or a trap tears the exchange down — all refreshed below
-        // — or in the per-cycle tick path, which marks the cache stale.
-        let mut doorbell = if self.bg_doorbell_stale {
-            self.bg_doorbell_stale = false;
-            let db = self.rot.mailbox.doorbell_pending();
-            self.rot.sync_irq_level(db);
-            self.fw_checking = db;
-            db
-        } else {
-            self.bg_doorbell
-        };
+        Self::poll_scmi(&mut self.scmi_service, &mut self.hosts);
+        // The doorbell level, re-read after everything below that can move
+        // it. The per-cycle tick path syncs the IRQ fabric before its RoT
+        // step, so a completion on that step can leave the line stale: sync
+        // on entry too.
+        let mut doorbell = self.sync_doorbell();
         // A completion the RoT wrote at the tail of the previous advance
         // may not have been observed yet: force one writer tick before
         // trusting the event schedule. Carried across calls so the common
@@ -667,14 +646,12 @@ impl SystemOnChip {
             };
             if done {
                 self.bg_poke = poke;
-                self.bg_doorbell = doorbell;
                 return;
             }
             // True idleness: nothing moves until a host acts again. A
             // pending poke tick would be a no-op here (idle writer, empty
             // queue), so it is dropped rather than carried.
             if self.queue.is_empty() && !self.writer.busy() && !doorbell {
-                self.bg_doorbell = doorbell;
                 self.bg_cycle = self.bg_cycle.max(until);
                 self.rot.core.advance_to(self.bg_cycle);
                 return;
@@ -726,7 +703,8 @@ impl SystemOnChip {
                 // Every lifecycle stamp a latency collector takes past the
                 // queue push fires inside a writer tick, and skipped ticks
                 // are no-ops, so the collector rides the event schedule.
-                let (cycle, queue, mailbox) = (self.bg_cycle, &mut self.queue, &self.rot.mailbox);
+                let (cycle, queue, mailbox) =
+                    (self.bg_cycle, &mut self.queue, self.rot.mailbox_mut());
                 let verdict = match self.latency.as_mut() {
                     Some(lat) => self.writer.tick_probed(cycle, queue, mailbox, lat),
                     None => self.writer.tick(cycle, queue, mailbox),
@@ -734,16 +712,10 @@ impl SystemOnChip {
                 if let Some(v) = verdict {
                     self.violations.push(v);
                 }
-                // The writer may have rung the doorbell on its final beat;
-                // refresh the cached level before deciding the RoT step,
-                // exactly as the per-tick path syncs the IRQ fabric between
-                // the writer and the core.
-                let db = self.rot.mailbox.doorbell_pending();
-                if db != doorbell {
-                    doorbell = db;
-                    self.rot.sync_irq_level(doorbell);
-                    self.fw_checking = doorbell;
-                }
+                // The writer may have rung the doorbell on its final beat:
+                // sync the IRQ fabric before deciding the RoT step, exactly
+                // as the per-tick path does between the writer and the core.
+                doorbell = self.sync_doorbell();
             }
             let rot_steps = self.rot_health == RotHealth::Healthy
                 && (self.rot.core.state() == ibex_model::IbexState::Running || doorbell)
@@ -758,26 +730,28 @@ impl SystemOnChip {
                             // ticked every cycle. Without a completion that
                             // tick is a no-op: every other writer event is
                             // on its own schedule.
-                            let (db, completion) = self.rot.mailbox.doorbell_and_completion();
-                            poke = completion;
-                            if db != doorbell {
-                                doorbell = db;
-                                self.rot.sync_irq_level(doorbell);
-                                self.fw_checking = doorbell;
-                            }
+                            poke = self.rot.mailbox().host_completion();
+                            doorbell = self.sync_doorbell();
                         }
                     }
                     Err(ibex_model::IbexEvent::Trapped(t)) => {
                         self.record_firmware_trap(t);
-                        doorbell = self.rot.mailbox.doorbell_pending();
-                        self.rot.sync_irq_level(doorbell);
-                        self.fw_checking = doorbell;
+                        doorbell = self.sync_doorbell();
                     }
                     Err(_) => {}
                 }
             }
             self.bg_cycle += 1;
         }
+    }
+
+    /// Propagates the mailbox doorbell to the RoT's IRQ line and the
+    /// firmware-check window after anything in the event-driven advance
+    /// that can move it: a writer tick, an RoT access to the SoC fabric
+    /// (mailbox or PLIC), or a firmware trap. Returns the doorbell level.
+    fn sync_doorbell(&mut self) -> bool {
+        self.fw_checking = self.rot.sync_irq();
+        self.fw_checking
     }
 
     /// One commit of host `i` in the configured dispatch mode: a plain
@@ -821,13 +795,12 @@ impl SystemOnChip {
             rec.counter_add("fw.traps", 1);
             rec.instant(Track::Firmware, "fault.trap", cycle);
         }
-        if let Some(inj) = &self.injector {
+        if let Some(inj) = self.writer.injector_mut() {
             inj.note_detected(FaultClass::FirmwareTrap);
             inj.note_escalated();
         }
         // Clear the interface so neither side spins on a dead exchange.
-        self.rot.mailbox.host_abort();
-        self.bg_doorbell_stale = true;
+        self.rot.mailbox_mut().host_abort();
     }
 
     /// The recorded firmware trap, if any.
@@ -888,7 +861,7 @@ impl SystemOnChip {
         self.config.fast_path
             && self.config.block_compile
             && self.recorder.is_none()
-            && self.injector.is_none()
+            && self.writer.injector().is_none()
             && !self.config.halt_on_violation
             && !self.config.trap_host_on_violation
     }
@@ -1095,7 +1068,7 @@ impl SystemOnChip {
             logs_dropped: self.writer.dropped_logs,
             forced_violations: self.writer.forced_violations,
             firmware_trap: self.firmware_trap(),
-            faults: self.injector.as_ref().map(FaultInjector::report),
+            faults: self.writer.injector().map(FaultInjector::report),
         }
     }
 
@@ -1107,7 +1080,9 @@ impl SystemOnChip {
         let mut guard = 0u64;
         while !(self.firmware_trap().is_some()
             && self.config.resilience.policy == FailPolicy::FailClosed)
-            && (!self.queue.is_empty() || self.writer.busy() || self.rot.mailbox.doorbell_pending())
+            && (!self.queue.is_empty()
+                || self.writer.busy()
+                || self.rot.mailbox().doorbell_pending())
             && guard < 10_000_000
         {
             self.tick_once();
