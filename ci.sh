@@ -21,17 +21,23 @@ echo "==> benchmark check (separate workspace: build, unit tests, quick run)"
 # builds; this catches a change that breaks an API it calls.
 benchmark/check.sh
 
-echo "==> campaign smoke (cold run, then a warm run from its cache, byte-identical)"
-# The result cache is keyed by job parameters, not by the code, so a cache
-# left by an earlier build could replay stale tables: the cold run fills a
-# fresh directory, and the warm run must reproduce it byte for byte.
+echo "==> campaign smoke (full plan at -j 1 and -j 4, byte-identical)"
+# Every campaign runs every job and assembles the results in submission
+# order, so the worker count must not change a single byte of output.
 campaign_dir=$(mktemp -d)
-cargo run --release -p titancfi-bench --bin campaign -- \
-    -j 4 --tables-only --cache-dir "$campaign_dir/cache" > "$campaign_dir/cold.txt"
-cargo run --release -p titancfi-bench --bin campaign -- \
-    -j 4 --tables-only --cache-dir "$campaign_dir/cache" > "$campaign_dir/warm.txt"
-cmp "$campaign_dir/cold.txt" "$campaign_dir/warm.txt"
+cargo run --release -p titancfi-bench --bin campaign -- -j 1 > "$campaign_dir/j1.txt"
+cargo run --release -p titancfi-bench --bin campaign -- -j 4 > "$campaign_dir/j4.txt"
+cmp "$campaign_dir/j1.txt" "$campaign_dir/j4.txt"
 rm -rf "$campaign_dir"
+
+echo "==> EXPERIMENTS.md check (its head is exactly what report prints)"
+# report recomputes every table on each run, so its stdout must equal the
+# same-length head of EXPERIMENTS.md byte for byte; the hand-written
+# sections follow that head.
+report_out=$(mktemp)
+cargo run --release -p titancfi-bench --bin report > "$report_out"
+head -n "$(wc -l < "$report_out")" EXPERIMENTS.md | cmp - "$report_out"
+rm -f "$report_out"
 
 echo "==> trace smoke (instrumented run + Perfetto export)"
 trace_dir=$(mktemp -d)
@@ -47,12 +53,10 @@ rm -rf "$trace_dir"
 
 echo "==> fault-campaign smoke (every class detected or recovered, no hangs)"
 # The faults binary exits nonzero if any injected fault was neither
-# detected nor recovered, or any scenario exhausted its cycle budget. A
-# fresh cache directory makes every scenario run on this build instead of
-# replaying an earlier build's cached results.
+# detected nor recovered, or any scenario exhausted its cycle budget.
 fault_dir=$(mktemp -d)
 cargo run --release -p titancfi-bench --bin faults -- \
-    --smoke --verbose --cache-dir "$fault_dir/cache" --out "$fault_dir/fault-matrix.txt"
+    --smoke --verbose --out "$fault_dir/fault-matrix.txt"
 test -s "$fault_dir/fault-matrix.txt" || { echo "fault smoke: matrix missing/empty"; exit 1; }
 rm -rf "$fault_dir"
 
@@ -74,9 +78,9 @@ echo "==> fuzz smoke (differential oracle over a seed slice + planted-bug self-t
 # mutation test of the fuzzer itself.
 fuzz_dir=$(mktemp -d)
 cargo run --release -p titancfi-bench --bin fuzz -- \
-    --smoke --time-box 300 --cache-dir "$fuzz_dir/cache"
+    --smoke --time-box 300
 cargo run --release -p titancfi-bench --bin fuzz -- \
-    --smoke --time-box 300 --mutate-decode-cache --no-cache \
+    --smoke --time-box 300 --mutate-decode-cache \
     --repro-dir "$fuzz_dir/repros"
 ls "$fuzz_dir"/repros/*.repro.rs >/dev/null 2>&1 \
     || { echo "fuzz smoke: no reproducer written for the planted bug"; exit 1; }
@@ -86,7 +90,7 @@ echo "==> throughput smoke (fast-path fingerprints + speedup regression gate)"
 # Regenerates BENCH_throughput.json in place. The binary exits nonzero if
 # the fast path's result fingerprints diverge from strict stepping, or if
 # any scenario's off/on speedup drops below 80% of the committed baseline
-# (gate skipped when no baseline exists yet). The `observed` row runs with
+# (a missing or unparseable baseline fails too). The `observed` row runs with
 # a latency collector attached, so the same gate fails if observed runs
 # fall back to per-cycle stepping.
 cargo run --release -p titancfi-bench --bin throughput -- \
@@ -100,7 +104,7 @@ echo "==> policy-cost smoke (per-policy firmware cycle costs + regression gate)"
 # hijacked return under the combined policy, or if any {policy, firmware}
 # row's mean check cost grew more than 10% over the committed baseline.
 # Costs are simulated RoT cycles, so the gate is deterministic and
-# machine-portable (gate skipped when no baseline exists yet).
+# machine-portable (a missing or unparseable baseline fails too).
 cargo run --release -p titancfi-bench --bin policy_cost -- \
     --smoke --out BENCH_policy.json --baseline BENCH_policy.json
 test -s BENCH_policy.json || { echo "policy-cost smoke: report missing/empty"; exit 1; }

@@ -1,29 +1,25 @@
 //! The parallel campaign driver: regenerates every evaluation artifact —
 //! Tables I–IV, the design-space sweep, and the native kernel suite —
-//! through the `titancfi-harness` worker pool, with content-addressed
-//! result caching and JSONL telemetry.
+//! through the `titancfi-harness` worker pool, with JSONL telemetry.
 //!
 //! ```text
 //! cargo run --release -p titancfi-bench --bin campaign -- -j 4
 //! ```
 //!
 //! Output is byte-identical to the serial `table1`..`table4`, `sweep` and
-//! `native_suite` binaries, regardless of `-j`; a second invocation is
-//! served from `target/campaign-cache/`.
+//! `native_suite` binaries, regardless of `-j`. Every invocation runs
+//! every job.
 
-use std::path::PathBuf;
 use std::process::ExitCode;
 use std::sync::Arc;
 
 use titancfi_bench::campaign::{CampaignPlan, PlanSpec, PoisonJob};
-use titancfi_harness::{run_campaign, CampaignConfig, Job, ResultCache, Telemetry, TelemetrySink};
+use titancfi_harness::{run_campaign, CampaignConfig, Job, Telemetry, TelemetrySink};
 
 const USAGE: &str = "\
 usage: campaign [options]
 
   -j, --jobs N        worker threads (default: all cores)
-      --no-cache      disable the on-disk result cache
-      --cache-dir P   cache directory (default: target/campaign-cache)
       --telemetry P   write a JSONL event stream to P ('-' for stderr)
       --tables-only   only Tables I-IV (skip sweep and native suite)
       --skip-native   skip the native kernel suite (the slowest jobs)
@@ -33,8 +29,6 @@ usage: campaign [options]
 
 struct Options {
     workers: usize,
-    cache: bool,
-    cache_dir: PathBuf,
     telemetry: Option<String>,
     spec: PlanSpec,
     poison: bool,
@@ -43,8 +37,6 @@ struct Options {
 fn parse_args() -> Result<Options, String> {
     let mut opts = Options {
         workers: std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
-        cache: true,
-        cache_dir: PathBuf::from("target/campaign-cache"),
         telemetry: None,
         spec: PlanSpec {
             tables: true,
@@ -59,10 +51,6 @@ fn parse_args() -> Result<Options, String> {
             "-j" | "--jobs" => {
                 let v = args.next().ok_or("missing value for -j")?;
                 opts.workers = v.parse().map_err(|_| format!("bad worker count `{v}`"))?;
-            }
-            "--no-cache" => opts.cache = false,
-            "--cache-dir" => {
-                opts.cache_dir = PathBuf::from(args.next().ok_or("missing value for --cache-dir")?);
             }
             "--telemetry" => {
                 opts.telemetry = Some(args.next().ok_or("missing value for --telemetry")?);
@@ -98,21 +86,6 @@ fn main() -> ExitCode {
         jobs.push(Arc::new(PoisonJob) as Arc<dyn Job>);
     }
 
-    let cache = if opts.cache {
-        match ResultCache::open(&opts.cache_dir) {
-            Ok(cache) => Some(cache),
-            Err(e) => {
-                eprintln!(
-                    "campaign: cannot open cache {}: {e}",
-                    opts.cache_dir.display()
-                );
-                return ExitCode::FAILURE;
-            }
-        }
-    } else {
-        None
-    };
-
     let sink = match opts.telemetry.as_deref() {
         None => TelemetrySink::Null,
         Some("-") => TelemetrySink::Stderr,
@@ -128,7 +101,6 @@ fn main() -> ExitCode {
 
     let cfg = CampaignConfig {
         workers: opts.workers,
-        cache,
         ..CampaignConfig::default()
     };
     let outcome = run_campaign(jobs, &cfg, &telemetry);

@@ -9,14 +9,14 @@
 //! Exit status is nonzero if any injected fault was neither detected nor
 //! recovered, or any scenario hung (exhausted its cycle budget) — which is
 //! what the CI smoke step keys on. Scenarios are deterministic per
-//! (kernel, class, rate, seed, policy) and cached like the table campaign.
+//! (kernel, class, rate, seed, policy), and every invocation runs them all.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
 use titancfi::FailPolicy;
-use titancfi_bench::fault_campaign::FaultPlan;
-use titancfi_harness::{run_campaign, CampaignConfig, ResultCache, Telemetry, TelemetrySink};
+use titancfi_bench::fault_campaign::{FaultPlan, DEFAULT_KERNELS, DEFAULT_SEEDS};
+use titancfi_harness::{run_campaign, CampaignConfig, Telemetry, TelemetrySink};
 
 const USAGE: &str = "\
 usage: faults [options]
@@ -27,14 +27,9 @@ usage: faults [options]
       --seeds LIST    comma-separated seeds (default: 11,12,13)
       --out P         also write the matrix to file P
       --verbose       include the per-scenario detail table
-      --no-cache      disable the on-disk result cache
-      --cache-dir P   cache directory (default: target/campaign-cache)
       --telemetry P   write a JSONL event stream to P ('-' for stderr)
   -h, --help          this text
 ";
-
-const DEFAULT_KERNELS: [&str; 2] = ["fib", "dispatch"];
-const DEFAULT_SEEDS: [u64; 3] = [11, 12, 13];
 
 struct Options {
     workers: usize,
@@ -43,8 +38,6 @@ struct Options {
     seeds: Vec<u64>,
     out: Option<PathBuf>,
     verbose: bool,
-    cache: bool,
-    cache_dir: PathBuf,
     telemetry: Option<String>,
 }
 
@@ -65,8 +58,6 @@ fn parse_args() -> Result<Options, String> {
         seeds: DEFAULT_SEEDS.to_vec(),
         out: None,
         verbose: false,
-        cache: true,
-        cache_dir: PathBuf::from("target/campaign-cache"),
         telemetry: None,
     };
     let mut args = std::env::args().skip(1);
@@ -95,10 +86,6 @@ fn parse_args() -> Result<Options, String> {
                 opts.out = Some(PathBuf::from(args.next().ok_or("missing value for --out")?));
             }
             "--verbose" => opts.verbose = true,
-            "--no-cache" => opts.cache = false,
-            "--cache-dir" => {
-                opts.cache_dir = PathBuf::from(args.next().ok_or("missing value for --cache-dir")?);
-            }
             "--telemetry" => {
                 opts.telemetry = Some(args.next().ok_or("missing value for --telemetry")?);
             }
@@ -132,21 +119,6 @@ fn main() -> ExitCode {
     };
     eprintln!("faults: {} scenarios", plan.len());
 
-    let cache = if opts.cache {
-        match ResultCache::open(&opts.cache_dir) {
-            Ok(cache) => Some(cache),
-            Err(e) => {
-                eprintln!(
-                    "faults: cannot open cache {}: {e}",
-                    opts.cache_dir.display()
-                );
-                return ExitCode::FAILURE;
-            }
-        }
-    } else {
-        None
-    };
-
     let sink = match opts.telemetry.as_deref() {
         None => TelemetrySink::Null,
         Some("-") => TelemetrySink::Stderr,
@@ -162,7 +134,6 @@ fn main() -> ExitCode {
 
     let cfg = CampaignConfig {
         workers: opts.workers,
-        cache,
         ..CampaignConfig::default()
     };
     let outcome = run_campaign(plan.jobs(), &cfg, &telemetry);

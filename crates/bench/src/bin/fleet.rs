@@ -33,10 +33,12 @@
 //!   at 256 — and that smell must never return.
 //! * **Baseline** (`--baseline`): per-device-count logs/s must stay within
 //!   [`REGRESSED_TOLERANCE`] of a previous report, so CI can pin the
-//!   committed BENCH_fleet.json as a floor.
+//!   committed BENCH_fleet.json as a floor. A missing or unparseable
+//!   baseline fails too.
 
 use std::process::ExitCode;
 use std::sync::Arc;
+use titancfi_bench::gate::{Baseline, Bound};
 use titancfi_fleet::{
     call_dense_workload, run_fleet, FleetConfig, FleetReport, SocDevice, SocDeviceConfig,
 };
@@ -49,7 +51,8 @@ usage: fleet [options]
       --out PATH      write the JSON report to PATH (default: BENCH_fleet.json)
       --shards N      worker shard count (default: one per core, clamped 2..8)
       --baseline P    compare logs/s per device count against a previous
-                      report; fail on regression beyond 20%
+                      report; fail on regression beyond 20%, or if P is
+                      missing or unparseable
   -h, --help          this text
 ";
 
@@ -214,47 +217,6 @@ fn scaling_failures(points: &[(u32, f64)]) -> Vec<String> {
         .collect()
 }
 
-/// The `--baseline` gate: per-device-count logs/s against a previous
-/// report. Counts absent from the baseline are warned about (a changed
-/// sweep must not silently shrink the gate); a baseline matching zero
-/// rows is itself a failure.
-fn baseline_failures(baseline: &Json, points: &[(u32, f64)]) -> Vec<String> {
-    let mut out = Vec::new();
-    let Some(base_rows) = baseline.get("rows").and_then(Json::as_arr) else {
-        out.push("baseline has no `rows` array — regenerate it".to_string());
-        return out;
-    };
-    let base: Vec<(u32, f64)> = base_rows
-        .iter()
-        .filter_map(|row| {
-            let devices = row.get("devices").and_then(Json::as_num)? as u32;
-            let rate = row.get("logs_per_sec").and_then(Json::as_num)?;
-            Some((devices, rate))
-        })
-        .collect();
-    let mut matched = 0;
-    for &(devices, rate) in points {
-        let Some(&(_, base_rate)) = base.iter().find(|&&(d, _)| d == devices) else {
-            eprintln!("fleet: WARNING {devices} devices missing from baseline — not gated");
-            continue;
-        };
-        matched += 1;
-        if rate < base_rate * REGRESSED_TOLERANCE {
-            out.push(format!(
-                "{devices} devices: {rate:.0} logs/s < 80% of baseline {base_rate:.0} logs/s"
-            ));
-        }
-    }
-    if matched == 0 {
-        out.push(
-            "baseline matched zero device counts — the gate checked nothing; regenerate the \
-             baseline"
-                .to_string(),
-        );
-    }
-    out
-}
-
 /// Integrity failures in one report, rendered for the gate.
 fn integrity_failures(r: &FleetReport) -> Vec<String> {
     let mut out = Vec::new();
@@ -393,22 +355,13 @@ fn main() -> ExitCode {
 
     // Read the baseline up front: CI passes the same path for --baseline
     // and --out, so it must be parsed before the new report overwrites it.
-    let baseline = opts
-        .baseline
-        .as_deref()
-        .and_then(|path| match std::fs::read_to_string(path) {
-            Ok(text) => match Json::parse(&text) {
-                Ok(json) => Some(json),
-                Err(e) => {
-                    eprintln!("fleet: ignoring unparseable baseline {path}: {e}");
-                    None
-                }
-            },
-            Err(e) => {
-                eprintln!("fleet: ignoring unreadable baseline {path}: {e}");
-                None
-            }
-        });
+    let baseline = match opts.baseline.as_deref().map(Baseline::load).transpose() {
+        Ok(baseline) => baseline,
+        Err(e) => {
+            eprintln!("fleet: {e}");
+            return ExitCode::FAILURE;
+        }
+    };
 
     // Untimed warmup at the largest count: fault the VM's lazily-backed
     // memory host-resident once so no timed point pays first-touch costs.
@@ -465,11 +418,15 @@ fn main() -> ExitCode {
     for failure in scaling_failures(&points) {
         failures.push(format!("SCALING {failure}"));
     }
-    if let Some(baseline) = &baseline {
-        for failure in baseline_failures(baseline, &points) {
-            failures.push(format!("BASELINE {failure}"));
-        }
-    }
+    let baseline_ok = baseline.as_ref().is_none_or(|base| {
+        base.check(
+            &rows,
+            &["devices"],
+            "logs_per_sec",
+            Bound::AtLeast(REGRESSED_TOLERANCE),
+        )
+        .passed("fleet")
+    });
 
     let json = Json::obj(vec![
         ("schema", Json::Num(2.0)),
@@ -483,10 +440,10 @@ fn main() -> ExitCode {
     }
     println!("wrote {}", opts.out);
 
-    if !failures.is_empty() {
-        for f in &failures {
-            eprintln!("fleet: {f}");
-        }
+    for f in &failures {
+        eprintln!("fleet: {f}");
+    }
+    if !failures.is_empty() || !baseline_ok {
         return ExitCode::FAILURE;
     }
     println!("every swept count lossless (integrity word verified at ingest), scaling monotone");

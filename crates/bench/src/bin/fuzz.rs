@@ -1,6 +1,6 @@
 //! The differential fuzzing driver: seeds fanned through the worker pool,
 //! each seed running the full cross-configuration oracle (benign program +
-//! corruption variant) with the content-addressed result cache.
+//! corruption variants) on every invocation.
 //!
 //! ```text
 //! cargo run --release -p titancfi-bench --bin fuzz -- --seeds 0..200
@@ -18,12 +18,9 @@ use std::time::{Duration, Instant};
 
 use titancfi_fuzz::{
     check, shrink, write_repro, CorruptionVariant, FuzzProgram, GenOptions, MatrixConfig,
-    ReproContext, GENERATOR_VERSION,
+    ReproContext,
 };
-use titancfi_harness::{
-    run_campaign, CampaignConfig, Job, JobDescriptor, JobOutput, ResultCache, Telemetry,
-    TelemetrySink,
-};
+use titancfi_harness::{run_campaign, CampaignConfig, Job, JobOutput, Telemetry, TelemetrySink};
 
 const USAGE: &str = "\
 usage: fuzz [options]
@@ -38,8 +35,6 @@ usage: fuzz [options]
                       find and shrink a divergence (oracle self-test)
       --repro-dir P   reproducer directory (default: tests/repros, or
                       target/fuzz-repros under --mutate-decode-cache)
-      --no-cache      disable the on-disk result cache
-      --cache-dir P   cache directory (default: target/campaign-cache)
       --telemetry P   write a JSONL event stream to P ('-' for stderr)
   -h, --help          this text
 ";
@@ -51,8 +46,6 @@ struct Options {
     budget: u64,
     mutate: bool,
     repro_dir: Option<PathBuf>,
-    cache: bool,
-    cache_dir: PathBuf,
     telemetry: Option<String>,
 }
 
@@ -76,8 +69,6 @@ fn parse_args() -> Result<Options, String> {
         budget: MatrixConfig::default().budget,
         mutate: false,
         repro_dir: None,
-        cache: true,
-        cache_dir: PathBuf::from("target/campaign-cache"),
         telemetry: None,
     };
     let mut args = std::env::args().skip(1);
@@ -107,10 +98,6 @@ fn parse_args() -> Result<Options, String> {
                     args.next().ok_or("missing value for --repro-dir")?,
                 ));
             }
-            "--no-cache" => opts.cache = false,
-            "--cache-dir" => {
-                opts.cache_dir = PathBuf::from(args.next().ok_or("missing value for --cache-dir")?);
-            }
             "--telemetry" => {
                 opts.telemetry = Some(args.next().ok_or("missing value for --telemetry")?);
             }
@@ -128,8 +115,7 @@ fn parse_args() -> Result<Options, String> {
 /// zero violations) plus every corruption variant of the policy axis
 /// (each must be flagged by exactly the predicted policies everywhere).
 /// On divergence the job shrinks the program, writes a reproducer, and
-/// fails with the divergence detail — failed jobs are never cached, so
-/// divergent seeds always re-run.
+/// fails with the divergence detail.
 struct FuzzSeedJob {
     seed: u64,
     matrix: MatrixConfig,
@@ -167,19 +153,6 @@ impl FuzzSeedJob {
 impl Job for FuzzSeedJob {
     fn label(&self) -> String {
         format!("fuzz:{}", self.seed)
-    }
-
-    fn descriptor(&self) -> JobDescriptor {
-        JobDescriptor::new(
-            "fuzz-seed",
-            &[
-                ("seed", self.seed.to_string()),
-                ("generator", GENERATOR_VERSION.to_string()),
-                ("budget", self.matrix.budget.to_string()),
-                ("multicore", self.matrix.multicore.to_string()),
-                ("mutate", self.mutate.to_string()),
-            ],
-        )
     }
 
     fn run(&self) -> Result<JobOutput, String> {
@@ -231,17 +204,6 @@ fn main() -> ExitCode {
         budget: opts.budget,
         multicore: true,
     };
-    let cache = if opts.cache {
-        match ResultCache::open(&opts.cache_dir) {
-            Ok(cache) => Some(cache),
-            Err(e) => {
-                eprintln!("fuzz: cannot open cache {}: {e}", opts.cache_dir.display());
-                return ExitCode::FAILURE;
-            }
-        }
-    } else {
-        None
-    };
     let sink = match opts.telemetry.as_deref() {
         None => TelemetrySink::Null,
         Some("-") => TelemetrySink::Stderr,
@@ -256,8 +218,7 @@ fn main() -> ExitCode {
     let telemetry = Telemetry::new(sink);
 
     // The time box bounds dispatch, not a single job: seeds go to the pool
-    // in waves and the deadline is checked between waves. The cache makes
-    // re-runs after a box expiry cheap — completed seeds replay instantly.
+    // in waves and the deadline is checked between waves.
     let started = Instant::now();
     let wave = (opts.workers.max(1) * 8) as u64;
     let total = opts.seeds.end - opts.seeds.start;
@@ -298,7 +259,6 @@ fn main() -> ExitCode {
             .collect();
         let cfg = CampaignConfig {
             workers: opts.workers,
-            cache: cache.clone(),
             retries: 0,
             ..CampaignConfig::default()
         };

@@ -1,7 +1,8 @@
 //! Per-policy firmware cycle-cost table: what each forward-edge policy of
 //! the suite (shadow stack, Zicfilp landing pads, KCFI type hashes, all
-//! three combined) costs per check in the RoT, for the IRQ and polling
-//! firmware tops — the Table-I-style companion for the policy suite.
+//! three combined) costs per check in the RoT, for each of Table I's three
+//! firmware variants (IRQ, polling, optimized) — the Table-I-style
+//! companion for the policy suite.
 //!
 //! ```text
 //! cargo run --release -p titancfi-bench --bin policy_cost -- \
@@ -14,7 +15,8 @@
 //! and records per-class mean cycle costs. The costs are *simulated* RoT
 //! cycles — fully deterministic, machine-portable, and therefore gateable:
 //! `--baseline` compares against a previous report and fails when any
-//! configuration's mean check cost grew by more than 10 %.
+//! configuration's mean check cost grew by more than 10 %, or when the
+//! baseline is missing or unparseable.
 //!
 //! The run doubles as a detection self-test: after measuring, each firmware
 //! top replays a smashed jump, a type-confused call, and a hijacked return
@@ -23,6 +25,7 @@
 use std::process::ExitCode;
 use titancfi::firmware::{FirmwareKind, FirmwareRunner};
 use titancfi::CommitLog;
+use titancfi_bench::gate::{Baseline, Bound};
 use titancfi_harness::Json;
 
 const USAGE: &str = "\
@@ -31,7 +34,8 @@ usage: policy_cost [options]
       --smoke         reduced lap count (CI smoke run)
       --out PATH      write the JSON report to PATH (default: BENCH_policy.json)
       --baseline P    compare mean check costs against a previous report;
-                      fail on a >10% cost growth (skipped when P is absent)
+                      fail on a >10% cost growth, or if P is missing or
+                      unparseable
   -h, --help          this text
 ";
 
@@ -107,9 +111,10 @@ const POLICIES: [PolicyConfig; 5] = [
     },
 ];
 
-/// Both firmware tops the suite is specified for (the optimized
-/// interconnect only changes latency constants, not instruction counts).
-const KINDS: [FirmwareKind; 2] = [FirmwareKind::Irq, FirmwareKind::Polling];
+/// Table I's three firmware variants. Optimized runs the polling top on
+/// the optimized interconnect, so it changes latency constants, not
+/// instruction counts.
+const KINDS: [FirmwareKind; 3] = FirmwareKind::ALL;
 
 // The synthetic benign workload. `f1` is reached by a direct call, `f2` by
 // an indirect call through a KCFI-instrumented site, `pad` by a plain
@@ -327,48 +332,6 @@ fn report_json(mode: &str, rows: &[Row]) -> Json {
 /// edits — anything beyond it is a real policy-cost regression.
 const GROWTH_TOLERANCE: f64 = 1.10;
 
-/// Compares per-configuration mean check costs against a previous report.
-/// Configurations absent from the baseline are warned about, and a baseline
-/// matching *zero* rows is itself a failure (stale or corrupt file).
-fn regressions(baseline: &Json, rows: &[Row]) -> Vec<String> {
-    let mut out = Vec::new();
-    let Some(base_rows) = baseline.get("rows").and_then(Json::as_arr) else {
-        out.push("baseline has no `rows` array — regenerate it".to_string());
-        return out;
-    };
-    let mut matched = 0usize;
-    for row in rows {
-        let base = base_rows.iter().find(|b| {
-            b.get("policy").and_then(Json::as_str) == Some(row.policy)
-                && b.get("firmware").and_then(Json::as_str) == Some(row.firmware)
-        });
-        let Some(base_mean) = base
-            .and_then(|b| b.get("cycles_mean"))
-            .and_then(Json::as_num)
-        else {
-            eprintln!(
-                "policy_cost: WARNING {}/{} missing from baseline — not gated",
-                row.policy, row.firmware
-            );
-            continue;
-        };
-        matched += 1;
-        if row.cycles_mean > GROWTH_TOLERANCE * base_mean {
-            out.push(format!(
-                "{}/{}: mean check cost {:.1} cycles > 110% of baseline {:.1}",
-                row.policy, row.firmware, row.cycles_mean, base_mean
-            ));
-        }
-    }
-    if matched == 0 {
-        out.push(
-            "baseline matched zero configurations — the gate checked nothing; regenerate it"
-                .to_string(),
-        );
-    }
-    out
-}
-
 fn main() -> ExitCode {
     let opts = match parse_args() {
         Ok(opts) => opts,
@@ -379,16 +342,13 @@ fn main() -> ExitCode {
     };
     // Read the baseline up front: CI passes the same path for --baseline
     // and --out, so it must be consumed before the report overwrites it.
-    let baseline = opts.baseline.as_deref().and_then(|path| {
-        let text = std::fs::read_to_string(path).ok()?;
-        match Json::parse(&text) {
-            Ok(json) => Some(json),
-            Err(e) => {
-                eprintln!("policy_cost: ignoring unparseable baseline {path}: {e}");
-                None
-            }
+    let baseline = match opts.baseline.as_deref().map(Baseline::load).transpose() {
+        Ok(baseline) => baseline,
+        Err(e) => {
+            eprintln!("policy_cost: {e}");
+            return ExitCode::FAILURE;
         }
-    });
+    };
 
     let laps: u64 = if opts.smoke { 2 } else { 16 };
     let mode = if opts.smoke { "smoke" } else { "full" };
@@ -432,16 +392,17 @@ fn main() -> ExitCode {
 
     match baseline {
         Some(base) => {
-            let regressed = regressions(&base, &rows);
-            if !regressed.is_empty() {
-                for r in &regressed {
-                    eprintln!("policy_cost: REGRESSION {r}");
-                }
+            let rows = json.get("rows").and_then(Json::as_arr).unwrap_or(&[]);
+            let bound = Bound::AtMost(GROWTH_TOLERANCE);
+            if !base
+                .check(rows, &["policy", "firmware"], "cycles_mean", bound)
+                .passed("policy_cost")
+            {
                 return ExitCode::FAILURE;
             }
             println!("mean check costs within 10% of baseline");
         }
-        None => println!("no baseline report — regression gate skipped"),
+        None => println!("no --baseline given — regression gate not run"),
     }
     ExitCode::SUCCESS
 }

@@ -15,10 +15,12 @@
 //! block dispatch). A mismatch is a correctness bug
 //! and exits nonzero. The JSON report records per-scenario speedup, which
 //! is machine-portable; `--baseline` compares against a previous report and
-//! fails if any scenario's speedup regressed by more than 20 %.
+//! fails if any scenario's speedup regressed by more than 20 %, or if the
+//! baseline is missing or unparseable.
 
 use std::process::ExitCode;
 use std::time::Instant;
+use titancfi_bench::gate::{Baseline, Bound};
 use titancfi_harness::Json;
 use titancfi_soc::{DualHostSoc, SocConfig, SystemOnChip};
 use titancfi_workloads::kernels::{all_kernels, Kernel, KERNEL_MEM};
@@ -29,7 +31,7 @@ usage: throughput [options]
       --smoke         reduced cycle budgets (CI smoke run)
       --out PATH      write the JSON report to PATH (default: BENCH_throughput.json)
       --baseline P    compare speedups against a previous report; fail on
-                      a >20% regression (skipped when P does not exist)
+                      a >20% regression, or if P is missing or unparseable
   -h, --help          this text
 ";
 
@@ -310,57 +312,6 @@ fn report_json(mode: &str, rows: &[Row]) -> Json {
 /// beyond it is a real slowdown.
 const REGRESSED_TOLERANCE: f64 = 0.8;
 
-/// Compares per-scenario speedups against a previous report. Speedup (wall
-/// off / wall on, same machine, same binary) is the only machine-portable
-/// number in the report — absolute cycles/sec are not comparable across
-/// hosts. Returns the failures: scenarios that regressed by more than
-/// 20 %, or a baseline that gated nothing. Scenarios absent from the
-/// baseline are warned about (renames and new scenarios must not silently
-/// shrink the gate), and a baseline matching *zero* rows is itself a
-/// failure — that is a stale or corrupt file, not a clean pass.
-fn regressions(baseline: &Json, rows: &[Row]) -> Vec<String> {
-    let mut out = Vec::new();
-    let Some(base_rows) = baseline.get("rows").and_then(Json::as_arr) else {
-        out.push("baseline has no `rows` array — regenerate it".to_string());
-        return out;
-    };
-    let mut matched = 0usize;
-    let mut missing = 0usize;
-    for row in rows {
-        let base = base_rows
-            .iter()
-            .find(|b| b.get("scenario").and_then(Json::as_str) == Some(row.scenario));
-        let Some(base_speedup) = base.and_then(|b| b.get("speedup")).and_then(Json::as_num) else {
-            missing += 1;
-            eprintln!(
-                "throughput: WARNING `{}` missing from baseline — not gated",
-                row.scenario
-            );
-            continue;
-        };
-        matched += 1;
-        if row.speedup < REGRESSED_TOLERANCE * base_speedup {
-            out.push(format!(
-                "{}: speedup {:.2}x < 80% of baseline {:.2}x",
-                row.scenario, row.speedup, base_speedup
-            ));
-        }
-    }
-    if missing > 0 {
-        eprintln!(
-            "throughput: {missing} of {} scenario(s) missing from baseline",
-            rows.len()
-        );
-    }
-    if matched == 0 {
-        out.push(
-            "baseline matched zero scenarios — the gate checked nothing; regenerate the baseline"
-                .to_string(),
-        );
-    }
-    out
-}
-
 fn main() -> ExitCode {
     let opts = match parse_args() {
         Ok(opts) => opts,
@@ -371,16 +322,13 @@ fn main() -> ExitCode {
     };
     // Read the baseline up front: CI passes the same path for --baseline
     // and --out, so it must be consumed before the report overwrites it.
-    let baseline = opts.baseline.as_deref().and_then(|path| {
-        let text = std::fs::read_to_string(path).ok()?;
-        match Json::parse(&text) {
-            Ok(json) => Some(json),
-            Err(e) => {
-                eprintln!("throughput: ignoring unparseable baseline {path}: {e}");
-                None
-            }
+    let baseline = match opts.baseline.as_deref().map(Baseline::load).transpose() {
+        Ok(baseline) => baseline,
+        Err(e) => {
+            eprintln!("throughput: {e}");
+            return ExitCode::FAILURE;
         }
-    });
+    };
 
     let budget: u64 = if opts.smoke { 3_000_000 } else { 20_000_000 };
     let mode = if opts.smoke { "smoke" } else { "full" };
@@ -431,16 +379,20 @@ fn main() -> ExitCode {
     }
     match baseline {
         Some(base) => {
-            let regressed = regressions(&base, &rows);
-            if !regressed.is_empty() {
-                for r in &regressed {
-                    eprintln!("throughput: REGRESSION {r}");
-                }
+            // Speedup (wall off / wall on, same machine, same binary) is the
+            // only machine-portable number in the report: absolute
+            // cycles/sec are not comparable across hosts.
+            let rows = json.get("rows").and_then(Json::as_arr).unwrap_or(&[]);
+            let bound = Bound::AtLeast(REGRESSED_TOLERANCE);
+            if !base
+                .check(rows, &["scenario"], "speedup", bound)
+                .passed("throughput")
+            {
                 return ExitCode::FAILURE;
             }
             println!("speedups within 20% of baseline");
         }
-        None => println!("no baseline report — regression gate skipped"),
+        None => println!("no --baseline given — regression gate not run"),
     }
     ExitCode::SUCCESS
 }

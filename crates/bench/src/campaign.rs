@@ -8,40 +8,17 @@
 //! back into the exact texts the serial binaries print. Jobs call the same
 //! fragment functions as the serial paths (`table3_row_line`,
 //! `sweep_block`, ...), so parallel and serial output are byte-identical
-//! by construction, regardless of worker count or scheduling.
-//!
-//! Every job carries a canonical [`JobDescriptor`] naming all inputs that
-//! determine its output (benchmark, queue depth, latencies, seed, schema
-//! version), which is what makes the on-disk result cache sound: change a
-//! parameter — or bump [`SCHEMA_VERSION`] after changing a model — and the
-//! hash, hence the cache key, changes with it.
+//! by construction, regardless of worker count or scheduling. Every
+//! campaign runs every job, so the artifacts always come from the current
+//! models.
 
 use std::ops::Range;
 use std::sync::Arc;
 
 use titancfi::firmware::FirmwareKind;
-use titancfi_harness::{CampaignOutcome, Job, JobDescriptor, JobOutput};
-use titancfi_workloads::published::{
-    self, LATENCY_IRQ, LATENCY_OPT, LATENCY_POLL, TABLE2, TABLE2_QUEUE_DEPTH, TABLE3,
-    TABLE3_QUEUE_DEPTH,
-};
+use titancfi_harness::{CampaignOutcome, Job, JobOutput};
+use titancfi_workloads::published::{self, LATENCY_IRQ, TABLE2, TABLE3, TABLE3_QUEUE_DEPTH};
 use titancfi_workloads::{ComparisonRow, Kernel, PublishedRow};
-
-/// Bumped whenever a fragment's rendering or an underlying model changes
-/// in a way that alters output for the same parameters — it is part of
-/// every descriptor, so bumping it invalidates all cached results at once.
-pub const SCHEMA_VERSION: u32 = 3;
-
-fn latency_field() -> (&'static str, String) {
-    (
-        "latencies",
-        format!("{LATENCY_OPT}/{LATENCY_POLL}/{LATENCY_IRQ}"),
-    )
-}
-
-fn schema_field() -> (&'static str, String) {
-    ("schema", SCHEMA_VERSION.to_string())
-}
 
 /// One Table I firmware variant: runs the RV32 firmware on the Ibex model
 /// and renders that variant's rows.
@@ -52,13 +29,6 @@ struct Table1VariantJob {
 impl Job for Table1VariantJob {
     fn label(&self) -> String {
         format!("table1:{}", self.kind.name())
-    }
-
-    fn descriptor(&self) -> JobDescriptor {
-        JobDescriptor::new(
-            "table1_variant",
-            &[schema_field(), ("variant", self.kind.name().to_string())],
-        )
     }
 
     fn run(&self) -> Result<JobOutput, String> {
@@ -81,22 +51,6 @@ impl Job for Table2RowJob {
         format!("table2:{}", self.row.name)
     }
 
-    fn descriptor(&self) -> JobDescriptor {
-        JobDescriptor::new(
-            "table2_row",
-            &[
-                schema_field(),
-                ("name", self.row.name.to_string()),
-                ("depth", TABLE2_QUEUE_DEPTH.to_string()),
-                latency_field(),
-                (
-                    "seed",
-                    format!("{:#018x}", crate::xtitan_seed(self.row.name)),
-                ),
-            ],
-        )
-    }
-
     fn run(&self) -> Result<JobOutput, String> {
         let stats = published::table3_row(self.row.name)
             .ok_or_else(|| format!("no trace stats for {}", self.row.name))?;
@@ -117,22 +71,6 @@ struct Table3RowJob {
 impl Job for Table3RowJob {
     fn label(&self) -> String {
         format!("table3:{}", self.row.name)
-    }
-
-    fn descriptor(&self) -> JobDescriptor {
-        JobDescriptor::new(
-            "table3_row",
-            &[
-                schema_field(),
-                ("name", self.row.name.to_string()),
-                ("depth", TABLE3_QUEUE_DEPTH.to_string()),
-                latency_field(),
-                (
-                    "seed",
-                    format!("{:#018x}", crate::xtitan_seed(self.row.name)),
-                ),
-            ],
-        )
     }
 
     fn run(&self) -> Result<JobOutput, String> {
@@ -163,10 +101,6 @@ impl Job for Table4Job {
         "table4".to_string()
     }
 
-    fn descriptor(&self) -> JobDescriptor {
-        JobDescriptor::new("table4", &[schema_field(), ("depth", "8".to_string())])
-    }
-
     fn run(&self) -> Result<JobOutput, String> {
         Ok(JobOutput::text(crate::table4()))
     }
@@ -181,19 +115,6 @@ struct SweepJob {
 impl Job for SweepJob {
     fn label(&self) -> String {
         format!("sweep:{}", self.name)
-    }
-
-    fn descriptor(&self) -> JobDescriptor {
-        JobDescriptor::new(
-            "sweep_block",
-            &[
-                schema_field(),
-                ("name", self.name.to_string()),
-                ("depths", format!("{:?}", crate::SWEEP_DEPTHS)),
-                latency_field(),
-                ("seed", format!("{:#x}", crate::SWEEP_SEED)),
-            ],
-        )
     }
 
     fn run(&self) -> Result<JobOutput, String> {
@@ -218,19 +139,6 @@ impl Job for NativeKernelJob {
         format!("native:{}", self.name)
     }
 
-    fn descriptor(&self) -> JobDescriptor {
-        JobDescriptor::new(
-            "native_kernel",
-            &[
-                schema_field(),
-                ("kernel", self.name.to_string()),
-                ("cap", crate::NATIVE_CYCLE_CAP.to_string()),
-                ("depth", TABLE3_QUEUE_DEPTH.to_string()),
-                latency_field(),
-            ],
-        )
-    }
-
     fn run(&self) -> Result<JobOutput, String> {
         let kernel =
             Kernel::by_name(self.name).ok_or_else(|| format!("unknown kernel {}", self.name))?;
@@ -250,10 +158,6 @@ pub struct PoisonJob;
 impl Job for PoisonJob {
     fn label(&self) -> String {
         "poison".to_string()
-    }
-
-    fn descriptor(&self) -> JobDescriptor {
-        JobDescriptor::new("poison", &[schema_field()])
     }
 
     fn run(&self) -> Result<JobOutput, String> {
@@ -463,20 +367,25 @@ mod tests {
     }
 
     #[test]
-    fn descriptors_are_unique() {
-        let plan = CampaignPlan::full();
-        let mut hashes: Vec<u64> = plan
-            .jobs()
-            .iter()
-            .map(|j| j.descriptor().content_hash())
-            .collect();
-        hashes.sort_unstable();
-        hashes.dedup();
-        assert_eq!(
-            hashes.len(),
-            plan.len(),
-            "every job must have a distinct cache key"
+    fn labels_are_unique() {
+        use crate::fault_campaign::{FaultPlan, DEFAULT_KERNELS, DEFAULT_SEEDS};
+        use titancfi::FailPolicy;
+        let faults = FaultPlan::build(
+            &DEFAULT_KERNELS,
+            &DEFAULT_SEEDS,
+            &[FailPolicy::FailClosed, FailPolicy::FailOpen],
         );
+        for jobs in [CampaignPlan::full().jobs(), faults.jobs()] {
+            let mut labels: Vec<String> = jobs.iter().map(|j| j.label()).collect();
+            let total = labels.len();
+            labels.sort_unstable();
+            labels.dedup();
+            assert_eq!(
+                labels.len(),
+                total,
+                "telemetry identifies a job by its label, so labels must be distinct"
+            );
+        }
     }
 
     #[test]

@@ -12,20 +12,24 @@
 //! exit, which is what the CI smoke step keys on.
 //!
 //! Scenarios are deterministic per (kernel, class, rate, seed, policy), so
-//! the content-addressed result cache applies exactly as for the table
-//! campaign.
+//! the matrix is byte-identical at any worker count.
 
 use std::sync::Arc;
 
 use cva6_model::Halt;
 use titancfi::{FailPolicy, ResilienceConfig};
 use titancfi_faults::{FaultClass, FaultConfig};
-use titancfi_harness::{CampaignOutcome, Job, JobDescriptor, JobOutput};
+use titancfi_harness::{CampaignOutcome, Job, JobOutput};
 use titancfi_soc::{SocConfig, SystemOnChip};
 use titancfi_workloads::{Kernel, KERNEL_MEM};
 
-use crate::campaign::SCHEMA_VERSION;
 use std::fmt::Write as _;
+
+/// Kernels of the default (non-smoke) grid.
+pub const DEFAULT_KERNELS: [&str; 2] = ["fib", "dispatch"];
+
+/// Seeds of the default (non-smoke) grid.
+pub const DEFAULT_SEEDS: [u64; 3] = [11, 12, 13];
 
 /// Cycle budget for one fault scenario. Every scenario must terminate far
 /// inside this — reaching it is reported as a hang and fails the campaign.
@@ -85,21 +89,6 @@ impl Job for FaultScenarioJob {
             self.class.name(),
             self.seed,
             policy_name(self.policy)
-        )
-    }
-
-    fn descriptor(&self) -> JobDescriptor {
-        JobDescriptor::new(
-            "fault_scenario",
-            &[
-                ("schema", SCHEMA_VERSION.to_string()),
-                ("kernel", self.kernel.to_string()),
-                ("class", self.class.name().to_string()),
-                ("one_in", self.one_in.to_string()),
-                ("seed", format!("{:#x}", self.seed)),
-                ("policy", policy_name(self.policy).to_string()),
-                ("cap", FAULT_CYCLE_CAP.to_string()),
-            ],
         )
     }
 
@@ -373,14 +362,10 @@ mod tests {
     fn smoke_plan_covers_every_class() {
         let plan = FaultPlan::smoke();
         assert_eq!(plan.len(), FaultClass::ALL.len() * 2);
-        let mut hashes: Vec<u64> = plan
-            .jobs()
-            .iter()
-            .map(|j| j.descriptor().content_hash())
-            .collect();
-        hashes.sort_unstable();
-        hashes.dedup();
-        assert_eq!(hashes.len(), plan.len(), "distinct cache keys");
+        let mut labels: Vec<String> = plan.jobs().iter().map(|j| j.label()).collect();
+        labels.sort_unstable();
+        labels.dedup();
+        assert_eq!(labels.len(), plan.len(), "distinct labels");
     }
 
     #[test]

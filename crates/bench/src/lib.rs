@@ -20,6 +20,7 @@
 
 pub mod campaign;
 pub mod fault_campaign;
+pub mod gate;
 
 use std::fmt::Write as _;
 use titancfi::firmware::{CheckMeasurement, FirmwareKind, FirmwareRunner};

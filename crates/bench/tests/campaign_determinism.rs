@@ -1,19 +1,12 @@
-//! The campaign's headline guarantees, tested end to end on the real jobs:
-//! parallel output is byte-identical to the serial paths, and a warm cache
-//! reproduces the same bytes without running anything.
+//! The campaign's headline guarantee, tested end to end on the real jobs:
+//! parallel output is byte-identical to the serial paths.
 
-use std::path::PathBuf;
 use titancfi_bench::campaign::{CampaignPlan, PlanSpec};
-use titancfi_harness::{run_campaign, CampaignConfig, ResultCache, Telemetry, TelemetrySink};
+use titancfi_harness::{run_campaign, CampaignConfig, Telemetry, TelemetrySink};
 
-fn run(
-    plan: &CampaignPlan,
-    workers: usize,
-    cache: Option<ResultCache>,
-) -> titancfi_harness::CampaignOutcome {
+fn run(plan: &CampaignPlan, workers: usize) -> titancfi_harness::CampaignOutcome {
     let cfg = CampaignConfig {
         workers,
-        cache,
         ..CampaignConfig::default()
     };
     run_campaign(plan.jobs(), &cfg, &Telemetry::new(TelemetrySink::Null))
@@ -28,7 +21,7 @@ fn parallel_campaign_matches_serial_output() {
         sweep: true,
         native: false,
     });
-    let outcome = run(&plan, 4, None);
+    let outcome = run(&plan, 4);
     assert_eq!(
         outcome.report.failed, 0,
         "failures: {:?}",
@@ -71,8 +64,8 @@ fn metric_totals_deterministic_across_worker_counts() {
         sweep: false,
         native: false,
     });
-    let serial = run(&plan, 1, None);
-    let wide = run(&plan, 8, None);
+    let serial = run(&plan, 1);
+    let wide = run(&plan, 8);
     assert_eq!(serial.report.failed, 0);
     assert_eq!(wide.report.failed, 0);
     assert_eq!(
@@ -96,51 +89,4 @@ fn metric_totals_deterministic_across_worker_counts() {
         serial.report.metric_totals["stall.cycles.d8"]
             <= serial.report.metric_totals["stall.cycles.d1"]
     );
-}
-
-/// A second run over the same cache executes nothing, reports every job as
-/// a cache hit, and still assembles identical bytes.
-#[test]
-fn warm_cache_reproduces_identical_artifacts() {
-    let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("campaign-warm-cache");
-    let _ = std::fs::remove_dir_all(&dir);
-
-    let plan = CampaignPlan::build(PlanSpec {
-        tables: true,
-        sweep: true,
-        native: false,
-    });
-    let cold = run(
-        &plan,
-        4,
-        Some(ResultCache::open(&dir).expect("cache opens")),
-    );
-    assert_eq!(
-        cold.report.failed, 0,
-        "failures: {:?}",
-        cold.report.failures
-    );
-    assert_eq!(
-        cold.report.cached, 0,
-        "first run starts from an empty cache"
-    );
-    assert_eq!(cold.report.ran, plan.len());
-
-    let warm = run(
-        &plan,
-        2,
-        Some(ResultCache::open(&dir).expect("cache reopens")),
-    );
-    assert_eq!(warm.report.ran, 0, "warm run must not execute any job");
-    assert_eq!(warm.report.cached, plan.len());
-
-    let a = plan.assemble(&cold);
-    let b = plan.assemble(&warm);
-    assert_eq!(a.table1, b.table1);
-    assert_eq!(a.table2, b.table2);
-    assert_eq!(a.table3, b.table3);
-    assert_eq!(a.table4, b.table4);
-    assert_eq!(a.sweep, b.sweep);
-
-    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -31,8 +31,9 @@ use riscv_isa::inst::{AluImmOp, Inst};
 use riscv_isa::Reg;
 use titancfi_harness::Xoshiro256;
 
-/// Bump when generated programs change for a given seed — part of every
-/// fuzz job's cache descriptor, so stale cached verdicts are invalidated.
+/// Bump when generated programs change for a given seed. Reproducer
+/// headers record it, so a seed named in an old report can be told apart
+/// from the program the current generator makes for it.
 pub const GENERATOR_VERSION: u32 = 2;
 
 /// Landing-pad label on every generated function entry.

@@ -30,7 +30,7 @@
 //!   `.repro.rs`-style file into `tests/repros/`.
 //!
 //! The `titancfi-bench --bin fuzz` binary fans seeds through the
-//! `titancfi-harness` pool with the content-addressed result cache and is
+//! `titancfi-harness` pool, re-checking every seed on every run, and is
 //! wired into CI as a time-boxed smoke.
 
 pub mod gen;

@@ -1,66 +1,12 @@
 //! The campaign job model.
 //!
 //! A [`Job`] is one unit of simulation work — a co-sim run of one kernel,
-//! one sweep point, one firmware measurement. Each job self-describes via
-//! a [`JobDescriptor`]: its kind plus every parameter that can affect its
-//! output, in a fixed field order. The descriptor's canonical string form
-//! feeds an FNV-1a content hash, which keys the on-disk result cache — so
-//! "same job" is a semantic statement (same kind, same parameters), not an
-//! accident of scheduling or memory layout.
+//! one sweep point, one firmware measurement. It is a label, which names
+//! it in telemetry and failure reports, and a [`Job::run`], which does the
+//! work. The pool runs every job it is given: nothing is replayed from an
+//! earlier campaign, so a result always reflects the code that computed it.
 
 use std::panic::RefUnwindSafe;
-
-/// FNV-1a, 64-bit: small, stable across platforms and releases (unlike
-/// `std::hash`), and good enough to content-address a few hundred jobs.
-#[must_use]
-pub fn fnv1a_64(bytes: &[u8]) -> u64 {
-    bytes.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
-        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
-    })
-}
-
-/// The canonical, hashable description of a job.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct JobDescriptor {
-    /// Job kind, e.g. `table2-row` or `native-kernel`.
-    pub kind: String,
-    /// Ordered `(name, value)` parameters. Every input that can change the
-    /// job's output belongs here, including model version counters.
-    pub fields: Vec<(String, String)>,
-}
-
-impl JobDescriptor {
-    /// Builds a descriptor from a kind and parameter list.
-    #[must_use]
-    pub fn new(kind: &str, fields: &[(&str, String)]) -> JobDescriptor {
-        JobDescriptor {
-            kind: kind.to_string(),
-            fields: fields
-                .iter()
-                .map(|(k, v)| ((*k).to_string(), v.clone()))
-                .collect(),
-        }
-    }
-
-    /// The canonical serialized form: `kind{k=v;k=v;...}`. Field order is
-    /// part of the identity; values are length-prefixed so no `;`/`=` in a
-    /// value can alias another descriptor.
-    #[must_use]
-    pub fn canonical(&self) -> String {
-        let mut out = format!("{}{{", self.kind);
-        for (k, v) in &self.fields {
-            out.push_str(&format!("{k}={}:{v};", v.len()));
-        }
-        out.push('}');
-        out
-    }
-
-    /// The content hash keying the result cache.
-    #[must_use]
-    pub fn content_hash(&self) -> u64 {
-        fnv1a_64(self.canonical().as_bytes())
-    }
-}
 
 /// What a finished job hands back: a text artifact (one table row, one
 /// sweep block...) plus named numeric metrics for telemetry aggregation.
@@ -92,15 +38,13 @@ impl JobOutput {
     }
 }
 
-/// One unit of campaign work. Implementations must be pure functions of
-/// their descriptor: two jobs with equal descriptors must produce equal
-/// outputs, or the result cache would lie.
+/// One unit of campaign work. Implementations must be deterministic, so
+/// that campaign output does not depend on the worker count, and labels
+/// must be unique within a campaign: telemetry identifies a job by its
+/// label.
 pub trait Job: Send + Sync + RefUnwindSafe {
     /// Short human-readable label for telemetry (`table3:mm`).
     fn label(&self) -> String;
-
-    /// The canonical description — identity for hashing and caching.
-    fn descriptor(&self) -> JobDescriptor;
 
     /// Runs the job.
     ///
@@ -109,38 +53,4 @@ pub trait Job: Send + Sync + RefUnwindSafe {
     /// Returns a message describing the failure; panics are also caught
     /// and reported by the pool.
     fn run(&self) -> Result<JobOutput, String>;
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn canonical_form_separates_fields() {
-        // `a=b;c=d` as one value must not alias two fields.
-        let one = JobDescriptor::new("k", &[("a", "b;c=d".to_string())]);
-        let two = JobDescriptor::new("k", &[("a", "b".to_string()), ("c", "d".to_string())]);
-        assert_ne!(one.canonical(), two.canonical());
-        assert_ne!(one.content_hash(), two.content_hash());
-    }
-
-    #[test]
-    fn hash_is_stable_and_field_sensitive() {
-        let d = |depth: usize| {
-            JobDescriptor::new(
-                "table3-row",
-                &[("name", "mm".to_string()), ("depth", depth.to_string())],
-            )
-        };
-        assert_eq!(d(8).content_hash(), d(8).content_hash());
-        assert_ne!(d(8).content_hash(), d(1).content_hash());
-    }
-
-    #[test]
-    fn fnv_reference_values() {
-        // Known FNV-1a 64 vectors.
-        assert_eq!(fnv1a_64(b""), 0xcbf2_9ce4_8422_2325);
-        assert_eq!(fnv1a_64(b"a"), 0xaf63_dc4c_8601_ec8c);
-        assert_eq!(fnv1a_64(b"foobar"), 0x85944171f73967e8);
-    }
 }

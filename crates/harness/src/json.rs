@@ -1,10 +1,10 @@
-//! Hand-rolled minimal JSON — the cache and telemetry file format.
+//! Hand-rolled minimal JSON — the telemetry and benchmark-report format.
 //!
 //! The workspace is dependency-free, so instead of serde this module
 //! implements exactly the subset the harness needs: a [`Json`] value tree,
 //! a writer producing canonical one-line output (object keys keep insertion
-//! order — important for stable cache files and readable JSONL), and a
-//! recursive-descent parser for reading cache entries back.
+//! order — important for stable reports and readable JSONL), and a
+//! recursive-descent parser for reading committed reports back.
 
 use std::fmt::Write as _;
 

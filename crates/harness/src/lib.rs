@@ -4,14 +4,12 @@
 //! *independent* simulations; this crate is the substrate that runs them
 //! as one campaign instead of a serial chain:
 //!
-//! * [`job`] — the unit of work: a [`job::Job`] self-describes through a
-//!   canonical [`job::JobDescriptor`] whose FNV-1a content hash is its
-//!   identity;
+//! * [`job`] — the unit of work: a [`job::Job`] is a label plus a `run`;
 //! * [`pool`] — an `std::thread` worker pool (`-j N`) with per-attempt
 //!   panic isolation (`catch_unwind`), a wall-clock watchdog, and bounded
-//!   retry, collecting results in deterministic submission order;
-//! * [`cache`] — a content-addressed on-disk result store making repeated
-//!   campaigns incremental;
+//!   retry, collecting results in deterministic submission order. Every
+//!   campaign runs every job, so its output always comes from the code
+//!   that printed it;
 //! * [`telemetry`] — a JSONL event stream plus the aggregated
 //!   [`telemetry::CampaignReport`];
 //! * [`json`] — the hand-rolled JSON both of the above serialize with;
@@ -25,7 +23,6 @@
 //! bottom of the workspace DAG so every other crate (including
 //! `riscv-isa`) can dev-depend on it for seeded test-input generation.
 
-pub mod cache;
 pub mod job;
 pub mod json;
 pub mod pool;
@@ -34,8 +31,7 @@ pub mod steal;
 pub mod telemetry;
 pub mod timing;
 
-pub use cache::ResultCache;
-pub use job::{fnv1a_64, Job, JobDescriptor, JobOutput};
+pub use job::{Job, JobOutput};
 pub use json::Json;
 pub use pool::{run_campaign, CampaignConfig, CampaignOutcome};
 pub use prng::{SplitMix64, Xoshiro256};

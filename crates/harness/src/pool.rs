@@ -16,9 +16,10 @@
 //!
 //! Results are collected in submission order, so campaign output assembled
 //! from them is deterministic regardless of worker interleaving — the
-//! property the byte-identical-to-serial guarantee rests on.
+//! property the byte-identical-to-serial guarantee rests on. Every
+//! submitted job runs: the pool keeps no results from one campaign to the
+//! next.
 
-use crate::cache::ResultCache;
 use crate::job::{Job, JobOutput};
 use crate::json::Json;
 use crate::telemetry::{CampaignReport, JobRecord, JobStatus, Telemetry};
@@ -37,8 +38,6 @@ pub struct CampaignConfig {
     pub job_timeout: Duration,
     /// Additional attempts after the first failure (0 = no retry).
     pub retries: u32,
-    /// Result cache; `None` disables caching.
-    pub cache: Option<ResultCache>,
 }
 
 impl Default for CampaignConfig {
@@ -47,7 +46,6 @@ impl Default for CampaignConfig {
             workers: 1,
             job_timeout: Duration::from_secs(600),
             retries: 1,
-            cache: None,
         }
     }
 }
@@ -94,7 +92,6 @@ pub fn run_campaign(
         vec![
             ("jobs", Json::Num(jobs.len() as f64)),
             ("workers", Json::Num(workers as f64)),
-            ("cache", Json::Bool(cfg.cache.is_some())),
         ],
     );
 
@@ -128,8 +125,7 @@ pub fn run_campaign(
     telemetry.emit(
         "campaign_done",
         vec![
-            ("completed", Json::Num((report.ran + report.cached) as f64)),
-            ("cached", Json::Num(report.cached as f64)),
+            ("completed", Json::Num(report.ran as f64)),
             (
                 "failed",
                 Json::Num((report.failed + report.timed_out) as f64),
@@ -187,42 +183,8 @@ fn run_one(
     telemetry: &Telemetry,
 ) -> JobRecord {
     let label = job.label();
-    let desc = job.descriptor();
-    let hash = desc.content_hash();
-    let hash_json = || Json::Str(format!("{hash:016x}"));
-    telemetry.emit(
-        "job_start",
-        vec![("label", Json::Str(label.clone())), ("hash", hash_json())],
-    );
+    telemetry.emit("job_start", vec![("label", Json::Str(label.clone()))]);
     let started = Instant::now();
-
-    // Cache lookup first: a hit skips execution entirely.
-    if let Some(cache) = &cfg.cache {
-        if let Some(output) = cache.get(&desc) {
-            let duration_ms = started.elapsed().as_secs_f64() * 1000.0;
-            // `job_finish` (schema 3) identifies the job by content hash
-            // only — the `job_start` line already carries the label, and
-            // full metrics live in the job record / campaign report, so
-            // repeating them per line tripled the stream for no reader.
-            telemetry.emit(
-                "job_finish",
-                vec![
-                    ("schema", Json::Num(3.0)),
-                    ("hash", hash_json()),
-                    ("cached", Json::Bool(true)),
-                    ("duration_ms", Json::Num(duration_ms)),
-                ],
-            );
-            return JobRecord {
-                index,
-                label,
-                hash,
-                status: JobStatus::Completed { cached: true },
-                duration_ms,
-                output: Some(output),
-            };
-        }
-    }
 
     let mut attempts = 0u32;
     let end = loop {
@@ -267,23 +229,22 @@ fn run_one(
     let duration_ms = started.elapsed().as_secs_f64() * 1000.0;
     match end {
         AttemptEnd::Done(output) => {
-            if let Some(cache) = &cfg.cache {
-                let _ = cache.put(&desc, &output);
-            }
+            // `job_finish` (schema 4) carries the label and duration only:
+            // the full metrics live in the job record and campaign report,
+            // so repeating them per line would bloat the stream for no
+            // reader.
             telemetry.emit(
                 "job_finish",
                 vec![
-                    ("schema", Json::Num(3.0)),
-                    ("hash", hash_json()),
-                    ("cached", Json::Bool(false)),
+                    ("schema", Json::Num(4.0)),
+                    ("label", Json::Str(label.clone())),
                     ("duration_ms", Json::Num(duration_ms)),
                 ],
             );
             JobRecord {
                 index,
                 label,
-                hash,
-                status: JobStatus::Completed { cached: false },
+                status: JobStatus::Completed,
                 duration_ms,
                 output: Some(output),
             }
@@ -294,14 +255,12 @@ fn run_one(
                 "job_timeout",
                 vec![
                     ("label", Json::Str(label.clone())),
-                    ("hash", hash_json()),
                     ("limit_ms", Json::Num(limit_ms as f64)),
                 ],
             );
             JobRecord {
                 index,
                 label,
-                hash,
                 status: JobStatus::TimedOut { limit_ms },
                 duration_ms,
                 output: None,
@@ -312,7 +271,6 @@ fn run_one(
                 "job_failed",
                 vec![
                     ("label", Json::Str(label.clone())),
-                    ("hash", hash_json()),
                     ("error", Json::Str(error.clone())),
                     ("attempts", Json::Num(f64::from(attempts))),
                 ],
@@ -320,7 +278,6 @@ fn run_one(
             JobRecord {
                 index,
                 label,
-                hash,
                 status: JobStatus::Failed { error, attempts },
                 duration_ms,
                 output: None,
@@ -342,7 +299,6 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::job::JobDescriptor;
     use crate::telemetry::TelemetrySink;
     use std::sync::atomic::{AtomicU32, Ordering};
 
@@ -357,9 +313,6 @@ mod tests {
     impl Job for FnJob {
         fn label(&self) -> String {
             self.name.clone()
-        }
-        fn descriptor(&self) -> JobDescriptor {
-            JobDescriptor::new("fn-job", &[("name", self.name.clone())])
         }
         fn run(&self) -> Result<JobOutput, String> {
             let attempt = self.runs.fetch_add(1, Ordering::SeqCst);
@@ -458,7 +411,6 @@ mod tests {
             workers: 1,
             job_timeout: Duration::from_millis(50),
             retries: 3,
-            ..CampaignConfig::default()
         };
         let started = Instant::now();
         let outcome = run_campaign(vec![hang, ok], &cfg, &quiet());
@@ -477,38 +429,7 @@ mod tests {
     }
 
     #[test]
-    fn cache_hit_skips_execution() {
-        let dir = std::env::temp_dir().join(format!("titancfi-pool-cache-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let make = || {
-            job("cached-job", |_| {
-                Ok(JobOutput::text("expensive".to_string()))
-            })
-        };
-
-        let (first, first_runs) = make();
-        let cfg = CampaignConfig {
-            cache: Some(ResultCache::open(&dir).expect("cache")),
-            ..CampaignConfig::default()
-        };
-        let one = run_campaign(vec![first], &cfg, &quiet());
-        assert_eq!(one.report.ran, 1);
-        assert_eq!(first_runs.load(Ordering::SeqCst), 1);
-
-        let (second, second_runs) = make();
-        let two = run_campaign(vec![second], &cfg, &quiet());
-        assert_eq!(two.report.cached, 1);
-        assert_eq!(
-            second_runs.load(Ordering::SeqCst),
-            0,
-            "cache hit must not run the job"
-        );
-        assert_eq!(two.output(0).unwrap().artifact, "expensive");
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn job_finish_lines_are_schema3_hash_only() {
+    fn job_finish_lines_are_schema4_with_label() {
         let path = std::env::temp_dir().join(format!(
             "titancfi-pool-telemetry-{}.jsonl",
             std::process::id()
@@ -531,36 +452,17 @@ mod tests {
             .collect();
         assert_eq!(finishes.len(), 1);
         let line = &finishes[0];
-        assert_eq!(line.get("schema").and_then(Json::as_num), Some(3.0));
-        let hash = line.get("hash").and_then(Json::as_str).expect("hash field");
-        assert_eq!(hash.len(), 16, "FNV-64 hash as 16 hex chars: {hash}");
-        assert_eq!(line.get("cached"), Some(&Json::Bool(false)));
+        assert_eq!(line.get("schema").and_then(Json::as_num), Some(4.0));
+        assert_eq!(line.get("label").and_then(Json::as_str), Some("ok"));
         assert!(line.get("duration_ms").is_some());
         assert!(
-            line.get("label").is_none(),
-            "label rides on job_start only in schema 3"
+            line.get("hash").is_none() && line.get("cached").is_none(),
+            "schema 4 identifies the job by its label"
         );
         assert!(
             line.get("sim_cycles").is_none() && line.get("cycles_per_sec").is_none(),
             "metrics live in the job record, not the finish line"
         );
         let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn failed_jobs_are_not_cached() {
-        let dir =
-            std::env::temp_dir().join(format!("titancfi-pool-nocache-fail-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let (bad, _) = job("always-bad", |_| Err("nope".to_string()));
-        let cfg = CampaignConfig {
-            retries: 0,
-            cache: Some(ResultCache::open(&dir).expect("cache")),
-            ..CampaignConfig::default()
-        };
-        let outcome = run_campaign(vec![bad], &cfg, &quiet());
-        assert_eq!(outcome.report.failed, 1);
-        assert!(cfg.cache.as_ref().unwrap().is_empty());
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -1,6 +1,6 @@
 //! Structured campaign telemetry.
 //!
-//! Every pool event — job start, finish, failure, cache hit — is emitted
+//! Every pool event — job start, finish, retry, failure — is emitted
 //! as one JSON object per line (JSONL) to a configurable sink, timestamped
 //! in milliseconds since campaign start. The same events aggregate into a
 //! [`CampaignReport`]: completion counts, wall time, total simulated
@@ -81,11 +81,8 @@ impl Telemetry {
 /// Terminal status of one job after the pool is done with it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum JobStatus {
-    /// Ran (or was cached) to completion.
-    Completed {
-        /// Whether the result came from the cache.
-        cached: bool,
-    },
+    /// Ran to completion.
+    Completed,
     /// All attempts failed (error return or panic).
     Failed {
         /// The last error message.
@@ -107,21 +104,19 @@ pub struct JobRecord {
     pub index: usize,
     /// Human label.
     pub label: String,
-    /// Content hash of the descriptor.
-    pub hash: u64,
     /// Terminal status.
     pub status: JobStatus,
-    /// Wall-clock duration of the final attempt (or of the cache lookup).
+    /// Wall-clock duration of the job, retries included.
     pub duration_ms: f64,
     /// The output, if completed.
     pub output: Option<crate::job::JobOutput>,
 }
 
 impl JobRecord {
-    /// Whether the job completed (from cache or a live run).
+    /// Whether the job completed.
     #[must_use]
     pub fn completed(&self) -> bool {
-        matches!(self.status, JobStatus::Completed { .. })
+        self.status == JobStatus::Completed
     }
 }
 
@@ -130,10 +125,8 @@ impl JobRecord {
 pub struct CampaignReport {
     /// Total jobs submitted.
     pub total: usize,
-    /// Jobs that completed by actually running.
+    /// Jobs that ran to completion.
     pub ran: usize,
-    /// Jobs that completed from the cache.
-    pub cached: usize,
     /// Jobs that failed after retries.
     pub failed: usize,
     /// Jobs abandoned by the watchdog.
@@ -159,7 +152,6 @@ impl CampaignReport {
         let mut report = CampaignReport {
             total: records.len(),
             ran: 0,
-            cached: 0,
             failed: 0,
             timed_out: 0,
             workers,
@@ -170,12 +162,8 @@ impl CampaignReport {
         };
         for rec in records {
             match &rec.status {
-                JobStatus::Completed { cached } => {
-                    if *cached {
-                        report.cached += 1;
-                    } else {
-                        report.ran += 1;
-                    }
+                JobStatus::Completed => {
+                    report.ran += 1;
                     if let Some(out) = &rec.output {
                         report.sim_cycles += out.metric("sim_cycles").unwrap_or(0.0);
                         for (name, value) in &out.metrics {
@@ -201,7 +189,7 @@ impl CampaignReport {
 
     /// Simulated cycles per wall-clock second — the campaign's end-to-end
     /// simulation throughput. `None` when the wall time is zero or too close
-    /// to it to divide by meaningfully (an all-cache-hit campaign on a fast
+    /// to it to divide by meaningfully (a campaign of trivial jobs on a fast
     /// clock): a throughput of `inf`/`1e15` would only mislead, so callers
     /// render it as `n/a` / JSON `null` instead.
     #[must_use]
@@ -224,12 +212,8 @@ impl CampaignReport {
         );
         let _ = writeln!(
             out,
-            "  completed {} ({} ran, {} cache hits), failed {}, timed out {}",
-            self.ran + self.cached,
-            self.ran,
-            self.cached,
-            self.failed,
-            self.timed_out,
+            "  completed {}, failed {}, timed out {}",
+            self.ran, self.failed, self.timed_out,
         );
         let throughput = match self.cycles_per_second() {
             Some(cps) => format!("{cps:.2e} cycles/s"),
@@ -262,7 +246,6 @@ mod tests {
         JobRecord {
             index,
             label: format!("job{index}"),
-            hash: index as u64,
             status,
             duration_ms: 1.0,
             output: cycles.map(|c| JobOutput {
@@ -275,8 +258,8 @@ mod tests {
     #[test]
     fn report_aggregates_statuses() {
         let records = vec![
-            rec(0, JobStatus::Completed { cached: false }, Some(1000.0)),
-            rec(1, JobStatus::Completed { cached: true }, Some(500.0)),
+            rec(0, JobStatus::Completed, Some(1000.0)),
+            rec(1, JobStatus::Completed, Some(500.0)),
             rec(
                 2,
                 JobStatus::Failed {
@@ -289,8 +272,7 @@ mod tests {
         ];
         let report = CampaignReport::from_records(&records, 4, 2000.0);
         assert_eq!(report.total, 4);
-        assert_eq!(report.ran, 1);
-        assert_eq!(report.cached, 1);
+        assert_eq!(report.ran, 2);
         assert_eq!(report.failed, 1);
         assert_eq!(report.timed_out, 1);
         assert!((report.sim_cycles - 1500.0).abs() < f64::EPSILON);
@@ -302,7 +284,7 @@ mod tests {
 
     #[test]
     fn near_zero_wall_time_yields_no_throughput() {
-        let records = vec![rec(0, JobStatus::Completed { cached: true }, Some(1e9))];
+        let records = vec![rec(0, JobStatus::Completed, Some(1e9))];
         for wall_ms in [0.0, 1e-9, 1e-4, -1.0, f64::NAN, f64::INFINITY] {
             let report = CampaignReport::from_records(&records, 1, wall_ms);
             assert_eq!(
@@ -318,13 +300,13 @@ mod tests {
 
     #[test]
     fn metric_totals_merge_across_jobs() {
-        let mut a = rec(0, JobStatus::Completed { cached: false }, Some(1000.0));
+        let mut a = rec(0, JobStatus::Completed, Some(1000.0));
         a.output
             .as_mut()
             .unwrap()
             .metrics
             .push(("stall.queue_full".to_string(), 40.0));
-        let mut b = rec(1, JobStatus::Completed { cached: true }, Some(500.0));
+        let mut b = rec(1, JobStatus::Completed, Some(500.0));
         b.output
             .as_mut()
             .unwrap()
