@@ -297,21 +297,13 @@ fn row_json(r: &FleetReport) -> Json {
             Json::Num(f64::from(r.undrained_devices)),
         ),
         (
-            "per_backend",
-            Json::Arr(
-                r.per_backend
-                    .iter()
-                    .map(|(kind, s)| {
-                        Json::obj(vec![
-                            ("backend", Json::Str(kind.name().to_string())),
-                            ("sent", Json::Num(s.sent as f64)),
-                            ("received", Json::Num(s.received as f64)),
-                            ("corrupt", Json::Num(s.corrupt as f64)),
-                            ("would_block", Json::Num(s.would_block as f64)),
-                        ])
-                    })
-                    .collect(),
-            ),
+            "transport",
+            Json::obj(vec![
+                ("sent", Json::Num(r.transport.sent as f64)),
+                ("received", Json::Num(r.transport.received as f64)),
+                ("corrupt", Json::Num(r.transport.corrupt as f64)),
+                ("would_block", Json::Num(r.transport.would_block as f64)),
+            ]),
         ),
     ])
 }
@@ -429,7 +421,7 @@ fn main() -> ExitCode {
     });
 
     let json = Json::obj(vec![
-        ("schema", Json::Num(2.0)),
+        ("schema", Json::Num(3.0)),
         ("mode", Json::Str(mode.to_string())),
         ("shards", Json::Num(shards as f64)),
         ("rows", Json::Arr(rows)),

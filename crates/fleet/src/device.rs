@@ -115,6 +115,39 @@ impl SocDeviceConfig {
             latency: false,
         }
     }
+
+    /// The single-host SoC configuration a [`SocDevice`] built from this
+    /// config runs.
+    #[must_use]
+    pub fn soc_config(&self) -> SocConfig {
+        let mut soc_config = SocConfig {
+            mem_size: self.mem_size,
+            faults: self.faults,
+            // Fleet devices always ride the fast path: predecoded
+            // instruction caches plus block-compiled stepping, pinned on
+            // explicitly rather than inherited from the process-wide
+            // default (a test flipping the global toggle must not quietly
+            // put a whole fleet back on strict stepping). A latency
+            // collector keeps block dispatch; a fault injector makes
+            // `run_slice` fall back to per-cycle scheduling — the flags are
+            // preconditions, not overrides, so faulted devices stay
+            // cycle-exact per commit.
+            fast_path: true,
+            block_compile: true,
+            // Fleet workloads are a few hundred instructions, not kernels;
+            // the default caches (8192 decode slots per core, 4096 block
+            // slots per host core) would dominate per-device memory at 1024-device scale and
+            // turn the sweep into a page-fault benchmark. Right-size them —
+            // architecturally invisible, entries re-predecode on demand.
+            decode_cache_slots: 1024,
+            block_cache_slots: 256,
+            ..SocConfig::default()
+        };
+        if let Some(resilience) = self.resilience {
+            soc_config.resilience = resilience;
+        }
+        soc_config
+    }
 }
 
 /// Frames encoded per [`Transport::send_many`] call from the pending
@@ -151,33 +184,7 @@ impl SocDevice {
     /// sequence tracker sees one continuous stream per slot.
     #[must_use]
     pub fn new(config: SocDeviceConfig, tx: Arc<dyn Transport>, start_seq: u16) -> SocDevice {
-        let mut soc_config = SocConfig {
-            mem_size: config.mem_size,
-            faults: config.faults,
-            // Fleet devices always ride the PR 8 fast path: predecoded
-            // instruction caches plus block-compiled stepping, pinned on
-            // explicitly rather than inherited from the process-wide
-            // default (a test flipping the global toggle must not quietly
-            // put a whole fleet back on strict stepping). A latency
-            // collector keeps block dispatch; a fault injector makes
-            // `run_slice` fall back to per-cycle scheduling — the flags are
-            // preconditions, not overrides, so faulted devices stay
-            // cycle-exact per commit.
-            fast_path: true,
-            block_compile: true,
-            // Fleet workloads are a few hundred instructions, not kernels;
-            // the default caches (8192 decode + 4096 block slots, per core)
-            // would dominate per-device memory at 1024-device scale and
-            // turn the sweep into a page-fault benchmark. Right-size them —
-            // architecturally invisible, entries re-predecode on demand.
-            decode_cache_slots: 1024,
-            block_cache_slots: 256,
-            ..SocConfig::default()
-        };
-        if let Some(resilience) = config.resilience {
-            soc_config.resilience = resilience;
-        }
-        let mut soc = SystemOnChip::new(&config.program, soc_config);
+        let mut soc = SystemOnChip::new(&config.program, config.soc_config());
         soc.enable_log_tap();
         if config.latency {
             soc.attach_latency();
@@ -359,7 +366,7 @@ pub fn call_dense_workload(outer_loops: u32) -> Program {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::transport::{Backend, Recv};
+    use crate::transport::InProcRing;
     use titancfi::wire::SeqTracker;
 
     fn small_device(tx: Arc<dyn Transport>) -> SocDevice {
@@ -367,46 +374,64 @@ mod tests {
         SocDevice::new(SocDeviceConfig::new(program), tx, 0)
     }
 
-    #[test]
-    fn soc_device_streams_its_whole_run_without_loss() {
-        for kind in Backend::ALL {
-            let tx: Arc<dyn Transport> = Arc::from(kind.build(16));
-            let mut dev = small_device(Arc::clone(&tx));
-            let mut tracker = SeqTracker::new();
-            let mut got = 0u64;
-            let mut polls = 0;
-            loop {
-                polls += 1;
-                assert!(polls < 10_000, "{kind}: device never completed");
-                let outcome = dev.poll();
-                loop {
-                    match tx.try_recv() {
-                        Recv::Frame(f) => {
-                            assert!(tracker.observe(f.seq), "{kind}: seq break");
-                            got += 1;
-                        }
-                        Recv::Empty => break,
-                        Recv::Corrupt => panic!("{kind}: corrupt frame"),
-                    }
-                }
-                match outcome.status {
-                    DeviceStatus::Completed => break,
-                    DeviceStatus::Trapped(why) => panic!("{kind}: trapped: {why}"),
-                    DeviceStatus::Running => {}
-                }
+    /// Drains `tx` dry through `try_recv_many`, feeding every frame's seq
+    /// to `tracker`; returns the frames received.
+    fn drain(tx: &dyn Transport, tracker: &mut SeqTracker) -> u64 {
+        let mut buf = [Frame {
+            seq: 0,
+            log: CommitLog::default(),
+        }; 32];
+        let mut got = 0u64;
+        loop {
+            let batch = tx.try_recv_many(&mut buf);
+            assert_eq!(batch.corrupt, 0, "clean ring");
+            for f in &buf[..batch.received] {
+                assert!(tracker.observe(f.seq), "seq break");
             }
-            assert_eq!(got, dev.frames_sent(), "{kind}: every sent frame ingested");
-            assert!(got > 0, "{kind}: call-dense guest must stream logs");
-            assert_eq!(tracker.duplicates, 0, "{kind}");
-            assert_eq!(tracker.gaps, 0, "{kind}");
+            got += batch.received as u64;
+            if batch.received < buf.len() {
+                return got;
+            }
         }
     }
 
     #[test]
+    fn soc_config_pins_fleet_caches_and_the_fast_path() {
+        let config = SocDeviceConfig::new(Arc::new(call_dense_workload(1)));
+        let soc = config.soc_config();
+        assert_eq!((soc.decode_cache_slots, soc.block_cache_slots), (1024, 256));
+        assert!(soc.fast_path && soc.block_compile);
+        assert_eq!(soc.mem_size, config.mem_size);
+    }
+
+    #[test]
+    fn soc_device_streams_its_whole_run_without_loss() {
+        let tx: Arc<dyn Transport> = Arc::new(InProcRing::new(16));
+        let mut dev = small_device(Arc::clone(&tx));
+        let mut tracker = SeqTracker::new();
+        let mut got = 0u64;
+        let mut polls = 0;
+        loop {
+            polls += 1;
+            assert!(polls < 10_000, "device never completed");
+            let outcome = dev.poll();
+            got += drain(tx.as_ref(), &mut tracker);
+            match outcome.status {
+                DeviceStatus::Completed => break,
+                DeviceStatus::Trapped(why) => panic!("trapped: {why}"),
+                DeviceStatus::Running => {}
+            }
+        }
+        assert_eq!(got, dev.frames_sent(), "every sent frame ingested");
+        assert!(got > 0, "call-dense guest must stream logs");
+        assert_eq!((tracker.duplicates, tracker.gaps), (0, 0));
+    }
+
+    #[test]
     fn backpressure_buffers_locally_and_never_skips_seq() {
-        // Capacity 1 forces WouldBlock constantly; the device must buffer
+        // Capacity 1 forces backpressure constantly; the device must buffer
         // and retry without ever burning a sequence number.
-        let tx: Arc<dyn Transport> = Arc::from(Backend::InProcRing.build(1));
+        let tx: Arc<dyn Transport> = Arc::new(InProcRing::new(1));
         let mut dev = small_device(Arc::clone(&tx));
         let mut tracker = SeqTracker::new();
         let mut got = 0u64;
@@ -414,10 +439,7 @@ mod tests {
         for _ in 0..200_000 {
             let outcome = dev.poll();
             stalled_at_least_once |= outcome.stalled;
-            while let Recv::Frame(f) = tx.try_recv() {
-                assert!(tracker.observe(f.seq), "seq break under backpressure");
-                got += 1;
-            }
+            got += drain(tx.as_ref(), &mut tracker);
             if outcome.status == DeviceStatus::Completed {
                 break;
             }
@@ -425,65 +447,58 @@ mod tests {
         assert!(stalled_at_least_once, "capacity-1 ring must stall");
         assert_eq!(got, dev.frames_sent());
         assert_eq!((tracker.duplicates, tracker.gaps), (0, 0));
-        assert_eq!(tx.stats().would_block, {
-            let s = tx.stats();
-            assert!(s.would_block > 0);
-            s.would_block
-        });
+        assert!(tx.stats().would_block > 0);
     }
 
     #[test]
     fn batched_recv_preserves_order_and_seq_continuity_across_respawns() {
-        // Three back-to-back runs in the same slot, drained exclusively
-        // through `try_recv_many`: the batched path must see one gap-free,
-        // duplicate-free, in-order stream across every respawn boundary,
-        // on every backend.
-        for kind in Backend::ALL {
-            let tx: Arc<dyn Transport> = Arc::from(kind.build(512));
-            let mut tracker = SeqTracker::new();
-            let mut last_seq = 0u16;
-            let mut expected_next = 1u16;
-            let mut total = 0u64;
-            for run in 0..3 {
-                let program = Arc::new(call_dense_workload(2));
-                let mut dev =
-                    SocDevice::new(SocDeviceConfig::new(program), Arc::clone(&tx), last_seq);
-                for _ in 0..10_000 {
-                    if dev.poll().status == DeviceStatus::Completed {
-                        break;
-                    }
+        // Three back-to-back runs in the same slot, drained through
+        // `try_recv_many`: the monitor must see one gap-free,
+        // duplicate-free, in-order stream across every respawn boundary.
+        let tx: Arc<dyn Transport> = Arc::new(InProcRing::new(512));
+        let mut tracker = SeqTracker::new();
+        let mut last_seq = 0u16;
+        let mut expected_next = 1u16;
+        let mut total = 0u64;
+        for run in 0..3 {
+            let program = Arc::new(call_dense_workload(2));
+            let mut dev = SocDevice::new(SocDeviceConfig::new(program), Arc::clone(&tx), last_seq);
+            for _ in 0..10_000 {
+                if dev.poll().status == DeviceStatus::Completed {
+                    break;
                 }
-                last_seq = dev.last_seq();
-                let mut buf = [Frame {
-                    seq: 0,
-                    log: CommitLog::default(),
-                }; 32];
-                loop {
-                    let batch = tx.try_recv_many(&mut buf);
-                    assert_eq!(batch.corrupt, 0, "{kind} run {run}");
-                    for f in &buf[..batch.received] {
-                        assert_eq!(f.seq, expected_next, "{kind} run {run}: wire order");
-                        expected_next = expected_next.wrapping_add(1);
-                        assert!(tracker.observe(f.seq), "{kind} run {run}");
-                        total += 1;
-                    }
-                    if batch.received < buf.len() {
-                        break;
-                    }
-                }
-                assert_eq!(
-                    (tracker.duplicates, tracker.gaps),
-                    (0, 0),
-                    "{kind} run {run}"
-                );
             }
-            assert!(total > 0, "{kind}: runs must stream frames");
+            last_seq = dev.last_seq();
+            let mut buf = [Frame {
+                seq: 0,
+                log: CommitLog::default(),
+            }; 32];
+            loop {
+                let batch = tx.try_recv_many(&mut buf);
+                assert_eq!(batch.corrupt, 0, "run {run}");
+                for f in &buf[..batch.received] {
+                    assert_eq!(f.seq, expected_next, "run {run}: wire order");
+                    expected_next = expected_next.wrapping_add(1);
+                    assert!(
+                        tracker.observe(f.seq),
+                        "run {run}: seq break across respawn"
+                    );
+                    total += 1;
+                }
+                if batch.received < buf.len() {
+                    break;
+                }
+            }
+            assert_eq!((tracker.duplicates, tracker.gaps), (0, 0), "run {run}");
         }
+        assert!(total > 0, "runs must stream frames");
     }
 
     #[test]
     fn seq_continues_across_respawn_in_the_same_slot() {
-        let tx: Arc<dyn Transport> = Arc::from(Backend::ShmRing.build(512));
+        // Drained one frame at a time: the first frame of each respawned
+        // device follows the last seq its predecessor handed over.
+        let tx: Arc<dyn Transport> = Arc::new(InProcRing::new(512));
         let mut tracker = SeqTracker::new();
         let mut last_seq = 0u16;
         for run in 0..3 {
@@ -494,13 +509,30 @@ mod tests {
                     break;
                 }
             }
-            last_seq = dev.last_seq();
-            while let Recv::Frame(f) = tx.try_recv() {
+            let mut buf = [Frame {
+                seq: 0,
+                log: CommitLog::default(),
+            }];
+            let mut expected_next = last_seq.wrapping_add(1);
+            loop {
+                let batch = tx.try_recv_many(&mut buf);
+                assert_eq!(batch.corrupt, 0, "run {run}");
+                if batch.received == 0 {
+                    break;
+                }
+                assert_eq!(buf[0].seq, expected_next, "run {run}: seq after respawn");
+                expected_next = expected_next.wrapping_add(1);
                 assert!(
-                    tracker.observe(f.seq),
+                    tracker.observe(buf[0].seq),
                     "run {run}: seq break across respawn"
                 );
             }
+            last_seq = dev.last_seq();
+            assert_eq!(
+                expected_next,
+                last_seq.wrapping_add(1),
+                "run {run}: drained"
+            );
             assert_eq!((tracker.duplicates, tracker.gaps), (0, 0), "run {run}");
         }
     }

@@ -7,13 +7,11 @@
 //! advanced in cheap resumable slices) as a sharded fleet and funnels
 //! every 28-byte commit-log record into one monitoring service:
 //!
-//! * [`transport`] — the wire layer: three interchangeable backends
-//!   (lock-free in-process SPSC ring, shared-memory-style ring,
-//!   length-prefixed byte stream) all framing records with the resilience
-//!   layer's seq+checksum integrity word, so corruption, duplication and
-//!   loss are *detected at ingest*, with explicit `WouldBlock`
-//!   backpressure and batched send/receive amortizing one synchronization
-//!   episode over a whole burst;
+//! * [`transport`] — the wire layer: one lock-free in-process SPSC ring
+//!   per device, framing records with the resilience layer's seq+checksum
+//!   integrity word, so corruption, duplication and loss are *detected at
+//!   ingest*, with explicit backpressure and batched send/receive
+//!   amortizing one cursor publish over a whole burst;
 //! * [`device`] — a [`device::SocDevice`] wraps a co-simulation as a
 //!   pollable device streaming its commit-log tap through a transport;
 //! * [`supervisor`] — fail-fast lifecycle: liveness deadlines, immediate
@@ -53,4 +51,4 @@ pub use supervisor::{
     DeviceFactory, EscalationReason, FailureRecord, SlotHealth, SupervisionConfig,
     SupervisionStats, Supervisor, Turn,
 };
-pub use transport::{Backend, Recv, RecvBatch, SendError, Transport, TransportStats};
+pub use transport::{Backend, RecvBatch, Transport, TransportStats};

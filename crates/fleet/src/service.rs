@@ -4,9 +4,9 @@
 //!
 //! Lifecycle of a run:
 //!
-//! 1. **Boot** — one transport per slot (backends assigned round-robin
-//!    unless pinned), the supervisor boots every slot through the device
-//!    factory, slot ids are dealt across the shard queues.
+//! 1. **Boot** — one [`InProcRing`] per slot, the supervisor boots every
+//!    slot through the device factory, slot ids are dealt across the shard
+//!    queues.
 //! 2. **Run** — each shard worker pops a slot and runs a *burst* of up to
 //!    [`FleetConfig::turn_burst`] supervision turns on it before
 //!    re-enqueueing, so a device's working set (its simulated RAM, decode
@@ -19,16 +19,15 @@
 //!    [`Transport::try_recv_many`] bursts. The hot path is *poll-coupled*:
 //!    the worker that just ran a turn on a slot immediately drains that
 //!    slot's transport (the frames it just produced are still in cache,
-//!    and on the lock-free in-process ring producer and consumer cursors
-//!    never contend). Each worker additionally owns a fixed partition of
-//!    slots (`slot % shards == shard`) which it sweeps while idle and
-//!    during shutdown, so no transport depends on its poller for
-//!    liveness. Per-slot sequence trackers and counters live behind
+//!    and the ring's producer and consumer cursors never contend). Each
+//!    worker additionally owns a fixed partition of slots
+//!    (`slot % shards == shard`) which it sweeps while idle and during
+//!    shutdown, so no transport depends on its poller for liveness. Per-slot sequence trackers and counters live behind
 //!    per-slot locks (uncontended in steady state) and are mirrored into
 //!    atomics the monitor thread reads without touching the trackers.
 //! 4. **Monitor** — the main thread no longer ingests anything: it wakes
-//!    on a fixed sweep cadence, appends JSONL snapshot lines, evaluates
-//!    the health monitor, and refreshes the Prometheus exposition file.
+//!    on a fixed sweep cadence, appends JSONL snapshot lines, and
+//!    evaluates the health monitor.
 //! 5. **Drain** — after the workers join (each drains its own partition
 //!    dry once supervision quiesces), the service alternates device
 //!    flushes with full ingest sweeps until every buffered frame is out of
@@ -44,7 +43,7 @@ use crate::supervisor::{
     fold_histogram, DeviceFactory, FailureRecord, SupervisionConfig, SupervisionStats, Supervisor,
     Turn,
 };
-use crate::transport::{Backend, Transport, TransportStats};
+use crate::transport::{Backend, InProcRing, Transport, TransportStats};
 use std::io::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -71,8 +70,8 @@ pub struct FleetConfig {
     /// caches hot; without them a thousand-device fleet round-robins its
     /// entire working set through the host cache every pass.
     pub turn_burst: u64,
-    /// Pin every slot to one backend, or `None` for round-robin across
-    /// [`Backend::ALL`].
+    /// The transport kind. Every slot gets an [`InProcRing`] whatever this
+    /// says; the field stays only because the benchmark package sets it.
     pub backend: Option<Backend>,
     /// Supervision policy.
     pub supervision: SupervisionConfig,
@@ -83,9 +82,6 @@ pub struct FleetConfig {
     /// Health-monitor thresholds; the monitor evaluates once per snapshot
     /// cadence tick plus once after the drain phase.
     pub health: HealthConfig,
-    /// Overwrite a Prometheus-text exposition snapshot here at each
-    /// evaluation (the scrape-endpoint analog for a file-based fleet).
-    pub exposition_path: Option<std::path::PathBuf>,
 }
 
 impl Default for FleetConfig {
@@ -101,7 +97,6 @@ impl Default for FleetConfig {
             snapshot_path: None,
             snapshot_every_sweeps: 64,
             health: HealthConfig::default(),
-            exposition_path: None,
         }
     }
 }
@@ -150,9 +145,8 @@ pub struct FleetReport {
     pub boot_seconds: f64,
     /// Wall-clock seconds for the run+drain phases (excludes boot).
     pub wall_seconds: f64,
-    /// Per-backend transport counters, in [`Backend::ALL`] order
-    /// (absent backends have all-zero stats).
-    pub per_backend: Vec<(Backend, TransportStats)>,
+    /// Transport counters summed over every slot's ring.
+    pub transport: TransportStats,
     /// The aggregated metrics registry (counters mirrored above plus
     /// per-device owned counters).
     pub metrics: SimMetrics,
@@ -226,7 +220,7 @@ struct SlotMirror {
 
 /// Sharded ingest state over every slot.
 struct Ingest<'a> {
-    transports: &'a [Arc<dyn Transport>],
+    transports: &'a [Arc<InProcRing>],
     slots: Vec<Mutex<SlotIngest>>,
     mirrors: Vec<SlotMirror>,
     /// Total per-slot drain operations — the snapshot cadence's clock.
@@ -234,7 +228,7 @@ struct Ingest<'a> {
 }
 
 impl<'a> Ingest<'a> {
-    fn new(transports: &'a [Arc<dyn Transport>]) -> Ingest<'a> {
+    fn new(transports: &'a [Arc<InProcRing>]) -> Ingest<'a> {
         Ingest {
             transports,
             slots: (0..transports.len())
@@ -385,14 +379,8 @@ where
     let shards = config.shards.max(1);
     let turn_burst = config.turn_burst.max(1);
 
-    // One transport per slot, backends round-robin unless pinned.
-    let transports: Vec<Arc<dyn Transport>> = (0..devices)
-        .map(|slot| {
-            let kind = config
-                .backend
-                .unwrap_or(Backend::ALL[slot as usize % Backend::ALL.len()]);
-            Arc::from(kind.build(config.transport_capacity))
-        })
+    let transports: Vec<Arc<InProcRing>> = (0..devices)
+        .map(|_| Arc::new(InProcRing::new(config.transport_capacity)))
         .collect();
 
     let supervisor = {
@@ -400,8 +388,10 @@ where
         Supervisor::new(
             devices,
             config.supervision,
-            Box::new(move |slot, seq| factory(slot, seq, Arc::clone(&transports[slot as usize])))
-                as DeviceFactory,
+            Box::new(move |slot, seq| {
+                let tx: Arc<dyn Transport> = transports[slot as usize].clone();
+                factory(slot, seq, tx)
+            }) as DeviceFactory,
         )
     };
 
@@ -558,11 +548,6 @@ where
                     latency.as_ref().map(|h| h.percentile(0.99)),
                 );
                 sink.write(&health_line(sweeps, &monitor));
-                if let Some(path) = config.exposition_path.as_deref() {
-                    let text =
-                        monitor.prometheus(&fleet_counter_pairs(&ingest, &stats), latency.as_ref());
-                    let _ = std::fs::write(path, text);
-                }
             }
         }
     });
@@ -593,23 +578,17 @@ where
         latency_e2e.as_ref().map(|h| h.percentile(0.99)),
     );
 
-    let per_backend: Vec<(Backend, TransportStats)> = Backend::ALL
-        .iter()
-        .map(|&kind| {
-            let mut total = TransportStats::default();
-            for tx in transports.iter().filter(|t| t.backend() == kind) {
-                let s = tx.stats();
-                total.sent += s.sent;
-                total.received += s.received;
-                total.corrupt += s.corrupt;
-                total.would_block += s.would_block;
-            }
-            (kind, total)
-        })
-        .collect();
+    let mut transport = TransportStats::default();
+    for tx in &transports {
+        let s = tx.stats();
+        transport.sent += s.sent;
+        transport.received += s.received;
+        transport.corrupt += s.corrupt;
+        transport.would_block += s.would_block;
+    }
 
-    let frames_sent: u64 = per_backend.iter().map(|(_, s)| s.sent).sum();
-    let send_stalls: u64 = per_backend.iter().map(|(_, s)| s.would_block).sum();
+    let frames_sent = transport.sent;
+    let send_stalls = transport.would_block;
     let supervision = supervisor.stats();
     let wall_seconds = run_started.elapsed().as_secs_f64();
     let (frames_ok, frames_corrupt, seq_duplicates, seq_gaps) = ingest.totals();
@@ -659,9 +638,6 @@ where
         &fleet_counter_pairs(&ingest, &supervision),
         latency_e2e.as_ref(),
     );
-    if let Some(path) = config.exposition_path.as_deref() {
-        let _ = std::fs::write(path, &exposition);
-    }
 
     FleetReport {
         devices,
@@ -681,7 +657,7 @@ where
         undrained_devices,
         boot_seconds,
         wall_seconds,
-        per_backend,
+        transport,
         metrics,
         health_scores: monitor.scores().to_vec(),
         alerts: monitor.alerts().to_vec(),
@@ -796,10 +772,10 @@ mod tests {
     use crate::device::{call_dense_workload, SocDevice, SocDeviceConfig};
 
     #[test]
-    fn small_soc_fleet_is_lossless_across_all_backends() {
+    fn small_soc_fleet_is_lossless() {
         let program = Arc::new(call_dense_workload(4));
         let config = FleetConfig {
-            devices: 6, // two slots per backend
+            devices: 6,
             shards: 3,
             passes: 2_000,
             transport_capacity: 16,
@@ -822,6 +798,12 @@ mod tests {
         );
         assert_eq!(report.seq_duplicates, 0);
         assert_eq!(report.seq_gaps, 0);
+        let t = report.transport;
+        assert_eq!(
+            (t.sent, t.received, t.corrupt),
+            (report.frames_sent, report.frames_ok, 0),
+            "ring counters sum to the report"
+        );
         assert!(report.supervision.completed_runs > 0, "runs recycle");
         assert_eq!(report.supervision.permanent_failures, 0);
         assert_eq!(

@@ -204,12 +204,6 @@ impl Supervisor {
         }
     }
 
-    /// Number of slots.
-    #[must_use]
-    pub fn slot_count(&self) -> u32 {
-        self.slots.len() as u32
-    }
-
     fn lock(&self, slot: u32) -> std::sync::MutexGuard<'_, Slot> {
         self.slots[slot as usize]
             .lock()
@@ -297,17 +291,6 @@ impl Supervisor {
     pub fn flush(&self, slot: u32) -> usize {
         let mut state = self.lock(slot);
         state.device.as_mut().map_or(0, |d| d.flush())
-    }
-
-    /// Total frames sent by the *live* device in every slot (drained slots
-    /// report their final device's counter; parked slots contribute 0 for
-    /// the reaped run — the transport's own `sent` counter is the ground
-    /// truth for loss accounting).
-    #[must_use]
-    pub fn live_frames_sent(&self) -> u64 {
-        (0..self.slot_count())
-            .map(|s| self.lock(s).device.as_ref().map_or(0, |d| d.frames_sent()))
-            .sum()
     }
 
     /// Whether `slot` is parked (permanently failed).

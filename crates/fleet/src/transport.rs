@@ -1,112 +1,41 @@
-//! Multi-backend commit-log transports.
+//! The fleet's commit-log transport: one lock-free in-process ring per
+//! device.
 //!
-//! Every backend carries the same 32-byte wire frame ([`titancfi::wire`]):
-//! the 28-byte commit-log record plus the resilience layer's seq+checksum
-//! integrity word. The monitor side decodes and *verifies* each frame at
-//! ingest, so corruption anywhere between a device and the fleet service
-//! is detected and counted rather than silently aggregated — the same
-//! property the mailbox hardware enforces at doorbell-ring time, extended
-//! to the fleet's long-haul links.
+//! Every frame on the ring is the 32-byte wire frame of
+//! [`titancfi::wire`]: the 28-byte commit-log record plus the resilience
+//! layer's seq+checksum integrity word. The monitor side decodes and
+//! *verifies* each frame at ingest, so corruption between a device and the
+//! fleet service is detected and counted rather than silently aggregated —
+//! the same property the mailbox hardware enforces at doorbell-ring time.
 //!
-//! Three backends model the deployment spectrum:
+//! [`InProcRing`] is the only transport. The paper moves commit logs along
+//! one path (AXI beats into the RoT's mailbox), the fleet runs every device
+//! in one process, and std offers no shared-memory mapping, so a second
+//! backend would only emulate a boundary nothing crosses. The
+//! [`Transport`] trait and the one-variant [`Backend`] stay because the
+//! benchmark package (`benchmark/src/fleet.rs`, `benchmark/src/run.rs`)
+//! names them: devices hold an `Arc<dyn Transport>`.
 //!
-//! * [`InProcRing`] — a bounded in-process ring of frames, the cheapest
-//!   same-address-space channel (device thread → monitor thread). Since
-//!   this is the fleet's hottest backend, it is a *lock-free* bounded SPSC
-//!   ring: producer and consumer each own one monotonic cursor published
-//!   with release stores and read with acquire loads, plus a cached copy
-//!   of the opposite cursor so the steady state touches no shared line at
-//!   all (see the module-level memory-ordering argument on [`InProcRing`]);
-//! * [`ShmRing`] — a shared-memory-style ring: one flat byte region laid
-//!   out exactly as an mmap'd segment would be (head/tail cursors stored
-//!   little-endian *inside* the region, fixed 32-byte slots after them),
-//!   so producer and consumer communicate only through serialized bytes;
-//! * [`StreamSocket`] — a length-prefixed byte stream over a bounded
-//!   duplex pipe, chunked on the receive side to model TCP-style partial
-//!   delivery; frames are reassembled from arbitrary chunk boundaries.
-//!
-//! Backpressure is explicit everywhere: a full backend returns
-//! [`SendError::WouldBlock`] and counts the stall — no backend ever spins,
-//! drops, or silently grows.
+//! Backpressure is explicit: a full ring accepts a short prefix of a
+//! batch and counts the stall — it never spins, drops, or silently grows.
 //!
 //! ## Batched operation
 //!
-//! The fleet's ingest loop moves frames in *bursts*: one
-//! [`Transport::send_many`] / [`Transport::try_recv_many`] call amortizes
-//! one synchronization episode (one lock acquisition on the mutex-based
-//! backends, one cursor publish on the lock-free ring) over a whole batch
-//! of frames, instead of paying it per frame. The batched entry points are
-//! semantically identical to frame-at-a-time loops — same ordering, same
-//! accounting, same backpressure (a partial `send_many` counts exactly one
-//! stall, like the single `WouldBlock` the per-frame loop would have hit) —
-//! which the property tests below pin on every backend.
+//! Frames move in *bursts*: one [`Transport::send_many`] /
+//! [`Transport::try_recv_many`] call pays one cursor publish for a whole
+//! batch of frames. A partial `send_many` counts exactly one stall.
 
 use std::cell::UnsafeCell;
-use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Mutex;
-use titancfi::wire::{Frame, FRAME_BYTES};
+use titancfi::wire::{Frame, SeqTracker, FRAME_BYTES};
+use titancfi::CommitLog;
 
-/// The backend kinds, in round-robin assignment order.
+/// The transport kind. There is one; the type stays only because the
+/// benchmark package pins it through [`crate::FleetConfig::backend`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Backend {
     /// Bounded lock-free in-process ring buffer of frames.
     InProcRing,
-    /// Shared-memory-style byte ring (cursors live inside the region).
-    ShmRing,
-    /// Length-prefixed byte stream with chunked delivery.
-    StreamSocket,
-}
-
-impl Backend {
-    /// Every backend, in assignment order.
-    pub const ALL: [Backend; 3] = [Backend::InProcRing, Backend::ShmRing, Backend::StreamSocket];
-
-    /// Stable kebab-case name (metric keys, reports).
-    #[must_use]
-    pub fn name(self) -> &'static str {
-        match self {
-            Backend::InProcRing => "inproc-ring",
-            Backend::ShmRing => "shm-ring",
-            Backend::StreamSocket => "stream-socket",
-        }
-    }
-
-    /// Builds a transport of this kind with room for `capacity` frames.
-    #[must_use]
-    pub fn build(self, capacity: usize) -> Box<dyn Transport> {
-        match self {
-            Backend::InProcRing => Box::new(InProcRing::new(capacity)),
-            Backend::ShmRing => Box::new(ShmRing::new(capacity)),
-            Backend::StreamSocket => Box::new(StreamSocket::new(capacity)),
-        }
-    }
-}
-
-impl std::fmt::Display for Backend {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
-/// Why a send did not happen.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SendError {
-    /// The backend is full; retry after the monitor drains it. Counted in
-    /// [`TransportStats::would_block`].
-    WouldBlock,
-}
-
-/// One receive attempt's outcome.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Recv {
-    /// Nothing available right now.
-    Empty,
-    /// A verified frame.
-    Frame(Frame),
-    /// A frame arrived but failed integrity verification; counted in
-    /// [`TransportStats::corrupt`].
-    Corrupt,
 }
 
 /// Outcome of one [`Transport::try_recv_many`] call.
@@ -114,13 +43,13 @@ pub enum Recv {
 pub struct RecvBatch {
     /// Verified frames written to the caller's buffer, in wire order.
     pub received: usize,
-    /// Frames consumed from the backend but rejected by the integrity
+    /// Frames consumed from the transport but rejected by the integrity
     /// word (also counted in [`TransportStats::corrupt`]).
     pub corrupt: usize,
 }
 
 impl RecvBatch {
-    /// Total frames removed from the backend by the call — the ingest
+    /// Total frames removed from the transport by the call — the ingest
     /// loop's progress measure (a corrupt frame is still progress).
     #[must_use]
     pub fn moved(&self) -> usize {
@@ -128,76 +57,38 @@ impl RecvBatch {
     }
 }
 
-/// Counters every backend keeps.
+/// A transport's counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TransportStats {
-    /// Frames accepted by `send`.
+    /// Frames accepted by `send_many`.
     pub sent: u64,
-    /// Frames handed out by `try_recv` (verified only).
+    /// Frames handed out by `try_recv_many` (verified only).
     pub received: u64,
     /// Frames rejected at ingest by the integrity word.
     pub corrupt: u64,
-    /// Send stalls: `WouldBlock` returns plus partial `send_many` batches
-    /// (one stall per backpressured call, not per refused frame).
+    /// Send stalls: `send_many` calls that accepted less than their whole
+    /// batch (one stall per backpressured call, not per refused frame).
     pub would_block: u64,
 }
 
 /// A device→monitor commit-log channel. Implementations use interior
-/// mutability: the device side calls [`Transport::send`], the monitor side
-/// [`Transport::try_recv`], concurrently.
+/// mutability: the device side calls [`Transport::send_many`], the monitor
+/// side [`Transport::try_recv_many`], concurrently.
 pub trait Transport: Send + Sync {
-    /// Which backend this is.
-    fn backend(&self) -> Backend;
-    /// Enqueues one frame, or reports backpressure.
-    ///
-    /// # Errors
-    ///
-    /// [`SendError::WouldBlock`] when the backend is at capacity.
-    fn send(&self, frame: &Frame) -> Result<(), SendError>;
-    /// Dequeues and verifies one frame, if available.
-    fn try_recv(&self) -> Recv;
-    /// Counter snapshot.
-    fn stats(&self) -> TransportStats;
-
-    /// Enqueues a prefix of `frames`, amortizing one synchronization
-    /// episode over the whole batch. Returns how many frames were
-    /// accepted; a short count means the backend filled mid-batch, which
-    /// counts exactly one stall in [`TransportStats::would_block`].
-    ///
-    /// Equivalent to calling [`Transport::send`] per frame until the first
-    /// `WouldBlock` (same ordering, same acceptance), just cheaper.
-    fn send_many(&self, frames: &[Frame]) -> usize {
-        for (i, frame) in frames.iter().enumerate() {
-            if self.send(frame).is_err() {
-                return i;
-            }
-        }
-        frames.len()
-    }
-
+    /// Enqueues a prefix of `frames` in one synchronization episode and
+    /// returns how many were accepted. A short count means the transport
+    /// filled mid-batch, which counts exactly one stall in
+    /// [`TransportStats::would_block`].
+    fn send_many(&self, frames: &[Frame]) -> usize;
     /// Dequeues and verifies up to `out.len()` frames in one
     /// synchronization episode. Verified frames land in `out[..received]`
     /// in wire order; corrupt frames are consumed, counted, and skipped.
-    ///
-    /// Equivalent to calling [`Transport::try_recv`] in a loop (same
-    /// ordering, same accounting), just cheaper.
-    fn try_recv_many(&self, out: &mut [Frame]) -> RecvBatch {
-        let mut batch = RecvBatch::default();
-        while batch.received < out.len() {
-            match self.try_recv() {
-                Recv::Frame(frame) => {
-                    out[batch.received] = frame;
-                    batch.received += 1;
-                }
-                Recv::Corrupt => batch.corrupt += 1,
-                Recv::Empty => break,
-            }
-        }
-        batch
-    }
+    fn try_recv_many(&self, out: &mut [Frame]) -> RecvBatch;
+    /// Counter snapshot.
+    fn stats(&self) -> TransportStats;
 }
 
-/// Shared counter plumbing for the three backends.
+/// The ring's counters.
 #[derive(Debug, Default)]
 struct Counters {
     sent: AtomicU64,
@@ -215,23 +106,7 @@ impl Counters {
             would_block: self.would_block.load(Ordering::Relaxed),
         }
     }
-
-    /// Classifies decoded bytes, bumping the matching counter.
-    fn classify(&self, bytes: &[u8]) -> Recv {
-        match Frame::decode(bytes) {
-            Ok(frame) => {
-                self.received.fetch_add(1, Ordering::Relaxed);
-                Recv::Frame(frame)
-            }
-            Err(_) => {
-                self.corrupt.fetch_add(1, Ordering::Relaxed);
-                Recv::Corrupt
-            }
-        }
-    }
 }
-
-// ---- backend 1: lock-free in-process ring ----
 
 /// A cache-line-sized box so the producer cursor, consumer cursor, and
 /// their cached copies never share a line (false sharing would put the
@@ -272,8 +147,8 @@ impl Drop for GateGuard<'_> {
     }
 }
 
-/// Bounded lock-free SPSC ring of encoded frames — the fleet's hottest
-/// backend takes **zero locks per frame**.
+/// Bounded lock-free SPSC ring of encoded frames — the fleet's transport
+/// takes **zero locks per frame**.
 ///
 /// ## Memory-ordering argument
 ///
@@ -296,8 +171,8 @@ impl Drop for GateGuard<'_> {
 ///   `harness::steal` keep the common case uncontended, taken all the way
 ///   to zero locks.
 ///
-/// Batched sends/receives run the same protocol once per batch: n slot
-/// copies, one cursor publish.
+/// Batched sends/receives run the protocol once per batch: n slot copies,
+/// one cursor publish.
 #[derive(Debug)]
 pub struct InProcRing {
     /// Frame slots; `slots.len()` is a power of two ≥ `capacity`.
@@ -376,32 +251,6 @@ impl InProcRing {
 }
 
 impl Transport for InProcRing {
-    fn backend(&self) -> Backend {
-        Backend::InProcRing
-    }
-
-    fn send(&self, frame: &Frame) -> Result<(), SendError> {
-        match self.send_many(std::slice::from_ref(frame)) {
-            1 => Ok(()),
-            _ => Err(SendError::WouldBlock),
-        }
-    }
-
-    fn try_recv(&self) -> Recv {
-        let mut out = [Frame {
-            seq: 0,
-            log: titancfi::CommitLog::default(),
-        }];
-        let batch = self.try_recv_many(&mut out);
-        if batch.corrupt > 0 {
-            Recv::Corrupt
-        } else if batch.received > 0 {
-            Recv::Frame(out[0])
-        } else {
-            Recv::Empty
-        }
-    }
-
     fn send_many(&self, frames: &[Frame]) -> usize {
         if frames.is_empty() {
             return 0;
@@ -440,174 +289,25 @@ impl Transport for InProcRing {
             // store of tail that occupied_slots Acquired; the producer
             // will not rewrite them until head moves past.
             let bytes = unsafe { *self.slots[slot].get() };
-            match self.counters.classify(&bytes) {
-                Recv::Frame(frame) => {
+            match Frame::decode(&bytes) {
+                Ok(frame) => {
                     out[batch.received] = frame;
                     batch.received += 1;
                 }
-                _ => batch.corrupt += 1,
+                Err(_) => batch.corrupt += 1,
             }
         }
         // Reclaim: the copies above happen-before the producer reuses the
         // slots.
         self.head.0.store(head + n, Ordering::Release);
-        batch
-    }
-
-    fn stats(&self) -> TransportStats {
-        self.counters.snapshot()
-    }
-}
-
-// ---- backend 2: shared-memory-style byte ring ----
-
-/// Byte offsets of the ring's header fields within the region — the layout
-/// a real mmap'd segment would carry.
-const SHM_HEAD: usize = 0; // next slot to read (monotonic u64, LE)
-const SHM_TAIL: usize = 8; // next slot to write (monotonic u64, LE)
-const SHM_SLOTS: usize = 16; // fixed 32-byte slots from here
-
-/// Shared-memory-style ring: producer and consumer touch nothing but one
-/// flat byte region, cursors included, exactly as two processes sharing an
-/// mmap would. The mutex stands in for the memory system's coherence; all
-/// *information* crosses as little-endian bytes. Batched sends/receives
-/// take the region lock once per burst.
-#[derive(Debug)]
-pub struct ShmRing {
-    region: Mutex<Vec<u8>>,
-    capacity: usize,
-    counters: Counters,
-}
-
-impl ShmRing {
-    /// A region with `capacity` frame slots (clamped to at least one).
-    #[must_use]
-    pub fn new(capacity: usize) -> ShmRing {
-        let capacity = capacity.max(1);
-        ShmRing {
-            region: Mutex::new(vec![0u8; SHM_SLOTS + capacity * FRAME_BYTES]),
-            capacity,
-            counters: Counters::default(),
-        }
-    }
-
-    fn cursor(region: &[u8], at: usize) -> u64 {
-        u64::from_le_bytes(region[at..at + 8].try_into().expect("8-byte cursor"))
-    }
-
-    fn set_cursor(region: &mut [u8], at: usize, value: u64) {
-        region[at..at + 8].copy_from_slice(&value.to_le_bytes());
-    }
-
-    fn slot_range(&self, index: u64) -> std::ops::Range<usize> {
-        let slot = (index % self.capacity as u64) as usize;
-        let start = SHM_SLOTS + slot * FRAME_BYTES;
-        start..start + FRAME_BYTES
-    }
-
-    /// Test/fuzz hook: flips one bit inside the oldest queued frame,
-    /// modelling in-flight shared-memory corruption.
-    pub fn corrupt_oldest(&self, bit: u32) {
-        let mut region = self
-            .region
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        let head = Self::cursor(&region, SHM_HEAD);
-        let tail = Self::cursor(&region, SHM_TAIL);
-        if head == tail {
-            return; // empty
-        }
-        let range = self.slot_range(head);
-        let byte = range.start + (bit as usize / 8) % FRAME_BYTES;
-        region[byte] ^= 1 << (bit % 8);
-    }
-}
-
-impl Transport for ShmRing {
-    fn backend(&self) -> Backend {
-        Backend::ShmRing
-    }
-
-    fn send(&self, frame: &Frame) -> Result<(), SendError> {
-        match self.send_many(std::slice::from_ref(frame)) {
-            1 => Ok(()),
-            _ => Err(SendError::WouldBlock),
-        }
-    }
-
-    fn try_recv(&self) -> Recv {
-        let bytes = {
-            let mut region = self
-                .region
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-            let head = Self::cursor(&region, SHM_HEAD);
-            let tail = Self::cursor(&region, SHM_TAIL);
-            if head == tail {
-                return Recv::Empty;
-            }
-            let range = self.slot_range(head);
-            let mut bytes = [0u8; FRAME_BYTES];
-            bytes.copy_from_slice(&region[range]);
-            Self::set_cursor(&mut region, SHM_HEAD, head + 1);
-            bytes
-        };
-        self.counters.classify(&bytes)
-    }
-
-    fn send_many(&self, frames: &[Frame]) -> usize {
-        if frames.is_empty() {
-            return 0;
-        }
-        let mut region = self
-            .region
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        let head = Self::cursor(&region, SHM_HEAD);
-        let tail = Self::cursor(&region, SHM_TAIL);
-        let free = self.capacity - (tail - head) as usize;
-        let n = free.min(frames.len());
-        for (i, frame) in frames[..n].iter().enumerate() {
-            let range = self.slot_range(tail + i as u64);
-            region[range].copy_from_slice(&frame.encode());
-        }
-        Self::set_cursor(&mut region, SHM_TAIL, tail + n as u64);
-        drop(region);
-        self.counters.sent.fetch_add(n as u64, Ordering::Relaxed);
-        if n < frames.len() {
-            self.counters.would_block.fetch_add(1, Ordering::Relaxed);
-        }
-        n
-    }
-
-    fn try_recv_many(&self, out: &mut [Frame]) -> RecvBatch {
-        if out.is_empty() {
-            return RecvBatch::default();
-        }
-        let mut staged = [[0u8; FRAME_BYTES]; RECV_BURST];
-        let n = {
-            let mut region = self
-                .region
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-            let head = Self::cursor(&region, SHM_HEAD);
-            let tail = Self::cursor(&region, SHM_TAIL);
-            let n = ((tail - head) as usize).min(out.len()).min(RECV_BURST);
-            for (i, slot) in staged[..n].iter_mut().enumerate() {
-                slot.copy_from_slice(&region[self.slot_range(head + i as u64)]);
-            }
-            Self::set_cursor(&mut region, SHM_HEAD, head + n as u64);
-            n
-        };
-        let mut batch = RecvBatch::default();
-        for bytes in &staged[..n] {
-            match self.counters.classify(bytes) {
-                Recv::Frame(frame) => {
-                    out[batch.received] = frame;
-                    batch.received += 1;
-                }
-                _ => batch.corrupt += 1,
-            }
+        if n > 0 {
+            let counters = &self.counters;
+            counters
+                .received
+                .fetch_add(batch.received as u64, Ordering::Relaxed);
+            counters
+                .corrupt
+                .fetch_add(batch.corrupt as u64, Ordering::Relaxed);
         }
         batch
     }
@@ -617,240 +317,51 @@ impl Transport for ShmRing {
     }
 }
 
-/// Upper bound on frames staged on the stack per batched receive; callers
-/// with bigger buffers simply call again (the service's ingest loop drains
-/// until a short batch anyway).
-const RECV_BURST: usize = 64;
-
-// ---- backend 3: length-prefixed byte stream ----
-
-/// Length prefix size: a little-endian `u32` frame length.
-const LEN_PREFIX: usize = 4;
-
-#[derive(Debug)]
-struct StreamInner {
-    /// In-flight bytes, producer → consumer.
-    pipe: VecDeque<u8>,
-    /// Consumer-side reassembly buffer (bytes taken off the pipe but not
-    /// yet forming a whole frame).
-    reassembly: Vec<u8>,
-}
-
-impl StreamInner {
-    /// Pulls at most one `chunk` of pipe bytes per iteration into the
-    /// reassembly buffer until a whole frame is available or the pipe runs
-    /// dry. Returns the frame's payload bytes.
-    fn next_frame(&mut self, chunk: usize) -> Option<Vec<u8>> {
-        loop {
-            if self.reassembly.len() >= LEN_PREFIX {
-                let len =
-                    u32::from_le_bytes(self.reassembly[..LEN_PREFIX].try_into().expect("prefix"))
-                        as usize;
-                if self.reassembly.len() >= LEN_PREFIX + len {
-                    let frame: Vec<u8> = self
-                        .reassembly
-                        .drain(..LEN_PREFIX + len)
-                        .skip(LEN_PREFIX)
-                        .collect();
-                    return Some(frame);
-                }
-            }
-            if self.pipe.is_empty() {
-                return None;
-            }
-            let take = chunk.min(self.pipe.len());
-            let moved: Vec<u8> = self.pipe.drain(..take).collect();
-            self.reassembly.extend_from_slice(&moved);
-        }
-    }
-}
-
-/// Length-prefixed byte-stream backend over a bounded duplex pipe. The
-/// receive side pulls at most `chunk` bytes per call before re-parsing, so
-/// frames routinely straddle read boundaries — the codec reassembles them,
-/// as a real socket consumer must. Batched sends/receives hold the pipe
-/// lock once per burst (one writev/readv, in socket terms).
-#[derive(Debug)]
-pub struct StreamSocket {
-    inner: Mutex<StreamInner>,
-    /// Pipe capacity in bytes.
-    capacity_bytes: usize,
-    /// Max bytes moved pipe→reassembly per parse iteration.
-    chunk: usize,
-    counters: Counters,
-}
-
-impl StreamSocket {
-    /// A stream able to buffer `capacity` frames' worth of bytes, with a
-    /// default receive chunk that forces partial-frame reassembly.
-    #[must_use]
-    pub fn new(capacity: usize) -> StreamSocket {
-        StreamSocket::with_chunk(capacity, FRAME_BYTES + LEN_PREFIX / 2)
-    }
-
-    /// Full control over the receive chunk size (bytes per parse step).
-    #[must_use]
-    pub fn with_chunk(capacity: usize, chunk: usize) -> StreamSocket {
-        StreamSocket {
-            inner: Mutex::new(StreamInner {
-                pipe: VecDeque::new(),
-                reassembly: Vec::new(),
-            }),
-            capacity_bytes: capacity.max(1) * (FRAME_BYTES + LEN_PREFIX),
-            chunk: chunk.max(1),
-            counters: Counters::default(),
-        }
-    }
-}
-
-impl Transport for StreamSocket {
-    fn backend(&self) -> Backend {
-        Backend::StreamSocket
-    }
-
-    fn send(&self, frame: &Frame) -> Result<(), SendError> {
-        match self.send_many(std::slice::from_ref(frame)) {
-            1 => Ok(()),
-            _ => Err(SendError::WouldBlock),
-        }
-    }
-
-    fn try_recv(&self) -> Recv {
-        let bytes = {
-            let mut inner = self
-                .inner
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-            match inner.next_frame(self.chunk) {
-                Some(bytes) => bytes,
-                None => return Recv::Empty,
-            }
-        };
-        self.counters.classify(&bytes)
-    }
-
-    fn send_many(&self, frames: &[Frame]) -> usize {
-        if frames.is_empty() {
-            return 0;
-        }
-        let mut sent = 0;
-        {
-            let mut inner = self
-                .inner
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-            for frame in frames {
-                if inner.pipe.len() + LEN_PREFIX + FRAME_BYTES > self.capacity_bytes {
-                    break;
-                }
-                inner
-                    .pipe
-                    .extend((FRAME_BYTES as u32).to_le_bytes().iter().copied());
-                inner.pipe.extend(frame.encode().iter().copied());
-                sent += 1;
-            }
-        }
-        self.counters.sent.fetch_add(sent as u64, Ordering::Relaxed);
-        if sent < frames.len() {
-            self.counters.would_block.fetch_add(1, Ordering::Relaxed);
-        }
-        sent
-    }
-
-    fn try_recv_many(&self, out: &mut [Frame]) -> RecvBatch {
-        if out.is_empty() {
-            return RecvBatch::default();
-        }
-        let mut staged: Vec<Vec<u8>> = Vec::new();
-        {
-            let mut inner = self
-                .inner
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-            while staged.len() < out.len().min(RECV_BURST) {
-                match inner.next_frame(self.chunk) {
-                    Some(bytes) => staged.push(bytes),
-                    None => break,
-                }
-            }
-        }
-        let mut batch = RecvBatch::default();
-        for bytes in &staged {
-            match self.counters.classify(bytes) {
-                Recv::Frame(frame) => {
-                    out[batch.received] = frame;
-                    batch.received += 1;
-                }
-                _ => batch.corrupt += 1,
-            }
-        }
-        batch
-    }
-
-    fn stats(&self) -> TransportStats {
-        self.counters.snapshot()
-    }
-}
-
-/// Routes a commit-log stream through a fresh transport of `kind` and
-/// returns the reassembled logs — the fuzz oracle's "fleet ingest" cell.
-/// The transport is sized *smaller* than the stream so the pump exercises
-/// real backpressure (send until `WouldBlock`, drain, repeat).
+/// Routes a commit-log stream through a fresh ring and returns the
+/// reassembled logs — the fuzz oracle's "fleet ingest" cell. The ring is
+/// sized *smaller* than the stream so the pump exercises real
+/// backpressure (send until the ring is full, drain, repeat).
 ///
 /// # Errors
 ///
 /// Reports corrupt frames, out-of-order sequence numbers, or a stuck pump
 /// as a human-readable string.
-pub fn ingest_roundtrip(
-    kind: Backend,
-    logs: &[titancfi::CommitLog],
-) -> Result<Vec<titancfi::CommitLog>, String> {
-    let transport = kind.build(8);
-    let mut tracker = titancfi::wire::SeqTracker::new();
+pub fn ingest_roundtrip(logs: &[CommitLog]) -> Result<Vec<CommitLog>, String> {
+    const CAPACITY: usize = 8;
+    let ring = InProcRing::new(CAPACITY);
+    let frames: Vec<Frame> = logs
+        .iter()
+        .enumerate()
+        .map(|(i, &log)| Frame {
+            seq: (i as u16).wrapping_add(1),
+            log,
+        })
+        .collect();
+    let mut tracker = SeqTracker::new();
+    let mut buf = [Frame {
+        seq: 0,
+        log: CommitLog::default(),
+    }; CAPACITY];
     let mut out = Vec::with_capacity(logs.len());
     let mut next = 0usize;
-    let mut seq: u16 = 0;
     while out.len() < logs.len() {
-        let mut progressed = false;
-        while next < logs.len() {
-            seq = seq.wrapping_add(1);
-            let frame = Frame {
-                seq,
-                log: logs[next],
-            };
-            match transport.send(&frame) {
-                Ok(()) => {
-                    next += 1;
-                    progressed = true;
-                }
-                Err(SendError::WouldBlock) => {
-                    seq = seq.wrapping_sub(1);
-                    break;
-                }
-            }
+        let sent = ring.send_many(&frames[next..]);
+        next += sent;
+        let batch = ring.try_recv_many(&mut buf);
+        if batch.corrupt > 0 {
+            return Err("corrupt frame at ingest".to_string());
         }
-        loop {
-            match transport.try_recv() {
-                Recv::Frame(frame) => {
-                    if !tracker.observe(frame.seq) {
-                        return Err(format!(
-                            "{kind}: out-of-order frame (seq {}, dups {}, gaps {})",
-                            frame.seq, tracker.duplicates, tracker.gaps
-                        ));
-                    }
-                    out.push(frame.log);
-                    progressed = true;
-                }
-                Recv::Corrupt => return Err(format!("{kind}: corrupt frame at ingest")),
-                Recv::Empty => break,
+        for frame in &buf[..batch.received] {
+            if !tracker.observe(frame.seq) {
+                return Err(format!(
+                    "out-of-order frame (seq {}, dups {}, gaps {})",
+                    frame.seq, tracker.duplicates, tracker.gaps
+                ));
             }
+            out.push(frame.log);
         }
-        if !progressed {
-            return Err(format!(
-                "{kind}: pump stuck at {}/{} logs",
-                out.len(),
-                logs.len()
-            ));
+        if sent == 0 && batch.received == 0 {
+            return Err(format!("pump stuck at {}/{} logs", out.len(), logs.len()));
         }
     }
     Ok(out)
@@ -859,9 +370,19 @@ pub fn ingest_roundtrip(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use titancfi::wire::SeqTracker;
-    use titancfi::CommitLog;
-    use titancfi_harness::prng::Xoshiro256;
+
+    impl InProcRing {
+        /// Flips one bit inside the oldest queued frame, modelling in-flight
+        /// corruption between a device and the monitor.
+        fn corrupt_oldest(&mut self, bit: u32) {
+            let head = *self.head.0.get_mut();
+            if head == *self.tail.0.get_mut() {
+                return; // empty
+            }
+            let slot = self.slots[head & self.mask].get_mut();
+            slot[(bit as usize / 8) % FRAME_BYTES] ^= 1 << (bit % 8);
+        }
+    }
 
     fn log(i: u64) -> CommitLog {
         CommitLog {
@@ -886,37 +407,38 @@ mod tests {
         }
     }
 
-    fn roundtrip(t: &dyn Transport) {
-        for i in 0..5 {
-            t.send(&frame(i)).expect("fits");
-        }
-        for i in 0..5 {
-            assert_eq!(t.try_recv(), Recv::Frame(frame(i)), "{} order", t.backend());
-        }
-        assert_eq!(t.try_recv(), Recv::Empty);
+    fn frames(range: std::ops::Range<u64>) -> Vec<Frame> {
+        range.map(frame).collect()
+    }
+
+    /// Receives whatever one `try_recv_many` of up to `max` frames yields.
+    fn recv(t: &InProcRing, max: usize) -> (Vec<Frame>, RecvBatch) {
+        let mut buf = vec![zero_frame(); max];
+        let batch = t.try_recv_many(&mut buf);
+        buf.truncate(batch.received);
+        (buf, batch)
+    }
+
+    #[test]
+    fn all_backends_roundtrip_in_order() {
+        let t = InProcRing::new(8);
+        assert_eq!(t.send_many(&frames(0..5)), 5);
+        assert_eq!(recv(&t, 8).0, frames(0..5), "wire order");
+        assert_eq!(recv(&t, 8).1, RecvBatch::default(), "drained");
         let s = t.stats();
         assert_eq!((s.sent, s.received, s.corrupt), (5, 5, 0));
     }
 
     #[test]
-    fn all_backends_roundtrip_in_order() {
-        for kind in Backend::ALL {
-            roundtrip(kind.build(8).as_ref());
-        }
-    }
-
-    #[test]
     fn inproc_ring_full_is_explicit_backpressure() {
         let t = InProcRing::new(3);
-        for i in 0..3 {
-            t.send(&frame(i)).expect("fits");
-        }
-        assert_eq!(t.send(&frame(3)), Err(SendError::WouldBlock));
-        assert_eq!(t.send(&frame(3)), Err(SendError::WouldBlock));
+        assert_eq!(t.send_many(&frames(0..3)), 3);
+        assert_eq!(t.send_many(&frames(3..4)), 0);
+        assert_eq!(t.send_many(&frames(3..4)), 0);
         assert_eq!(t.stats().would_block, 2, "stalls are counted");
         // Draining one slot unblocks exactly one send.
-        assert!(matches!(t.try_recv(), Recv::Frame(_)));
-        t.send(&frame(3)).expect("slot freed");
+        assert_eq!(recv(&t, 1).0, frames(0..1));
+        assert_eq!(t.send_many(&frames(3..5)), 1, "one slot freed");
         assert_eq!(t.stats().sent, 4);
     }
 
@@ -928,17 +450,16 @@ mod tests {
         let mut sent = 0u64;
         let mut got = 0u64;
         while got < 1000 {
-            while t.send(&frame(sent)).is_ok() {
-                sent += 1;
-            }
+            sent += t.send_many(&frames(sent..sent + 5)) as u64;
             loop {
-                match t.try_recv() {
-                    Recv::Frame(f) => {
-                        assert_eq!(f, frame(got), "wire order across wraps");
-                        got += 1;
-                    }
-                    Recv::Empty => break,
-                    Recv::Corrupt => panic!("clean ring"),
+                let (batch, outcome) = recv(&t, 2);
+                assert_eq!(outcome.corrupt, 0, "clean ring");
+                if batch.is_empty() {
+                    break;
+                }
+                for f in batch {
+                    assert_eq!(f, frame(got), "wire order across wraps");
+                    got += 1;
                 }
             }
         }
@@ -958,7 +479,7 @@ mod tests {
             scope.spawn(move || {
                 let mut i = 0u64;
                 while i < FRAMES {
-                    if t.send(&frame(i)).is_ok() {
+                    if t.send_many(&[frame(i)]) == 1 {
                         i += 1;
                     } else {
                         // On a single-core host the consumer needs the
@@ -989,242 +510,95 @@ mod tests {
     }
 
     #[test]
-    fn shm_ring_full_is_explicit_backpressure() {
-        let t = ShmRing::new(2);
-        t.send(&frame(0)).expect("fits");
-        t.send(&frame(1)).expect("fits");
-        assert_eq!(t.send(&frame(2)), Err(SendError::WouldBlock));
-        assert_eq!(t.stats().would_block, 1);
-        assert!(matches!(t.try_recv(), Recv::Frame(_)));
-        t.send(&frame(2)).expect("slot freed");
-        // Wraparound keeps order.
-        assert_eq!(t.try_recv(), Recv::Frame(frame(1)));
-        assert_eq!(t.try_recv(), Recv::Frame(frame(2)));
-        assert_eq!(t.try_recv(), Recv::Empty);
-    }
-
-    #[test]
-    fn stream_socket_full_is_explicit_backpressure() {
-        let t = StreamSocket::new(2);
-        t.send(&frame(0)).expect("fits");
-        t.send(&frame(1)).expect("fits");
-        assert_eq!(t.send(&frame(2)), Err(SendError::WouldBlock));
-        assert_eq!(t.stats().would_block, 1);
-        assert!(matches!(t.try_recv(), Recv::Frame(_)));
-        t.send(&frame(2)).expect("bytes freed");
-    }
-
-    #[test]
-    fn stream_socket_reassembles_across_tiny_chunks() {
-        // 5-byte chunks: every frame straddles several reads.
-        let t = StreamSocket::with_chunk(16, 5);
-        for i in 0..4 {
-            t.send(&frame(i)).expect("fits");
-        }
-        let mut got = Vec::new();
-        loop {
-            match t.try_recv() {
-                Recv::Frame(f) => got.push(f),
-                Recv::Empty => break,
-                Recv::Corrupt => panic!("clean stream"),
-            }
-        }
-        assert_eq!(got, (0..4).map(frame).collect::<Vec<_>>());
-    }
-
-    #[test]
     fn shm_corruption_is_detected_at_ingest() {
-        let t = ShmRing::new(4);
-        t.send(&frame(0)).expect("fits");
-        t.send(&frame(1)).expect("fits");
+        // Frame-at-a-time ingest: a one-slot batch that meets a flipped
+        // frame reports it as corrupt, and the next frame arrives intact.
+        let mut t = InProcRing::new(4);
+        assert_eq!(t.send_many(&frames(0..2)), 2);
         t.corrupt_oldest(13);
-        assert_eq!(t.try_recv(), Recv::Corrupt, "flip caught by integrity word");
-        assert_eq!(t.try_recv(), Recv::Frame(frame(1)), "later frames intact");
-        assert_eq!(t.stats().corrupt, 1);
-        assert_eq!(t.stats().received, 1);
+        let (got, batch) = recv(&t, 1);
+        assert_eq!(
+            batch,
+            RecvBatch {
+                received: 0,
+                corrupt: 1
+            },
+            "flip caught by the integrity word"
+        );
+        assert!(got.is_empty());
+        assert_eq!(recv(&t, 1).0, frames(1..2), "later frames intact");
+        let s = t.stats();
+        assert_eq!((s.received, s.corrupt), (1, 1));
     }
 
     #[test]
     fn shm_corruption_is_skipped_and_counted_by_batched_recv() {
-        let t = ShmRing::new(4);
-        for i in 0..3 {
-            t.send(&frame(i)).expect("fits");
-        }
+        let mut t = InProcRing::new(4);
+        assert_eq!(t.send_many(&frames(0..3)), 3);
         t.corrupt_oldest(21);
-        let mut buf = [zero_frame(); 4];
-        let batch = t.try_recv_many(&mut buf);
+        let (got, batch) = recv(&t, 4);
         assert_eq!(
             batch,
             RecvBatch {
                 received: 2,
                 corrupt: 1
-            }
+            },
+            "flip caught by the integrity word"
         );
         assert_eq!(batch.moved(), 3, "corrupt frames still count as progress");
-        assert_eq!(&buf[..2], &[frame(1), frame(2)], "good frames keep order");
-        assert_eq!(t.stats().corrupt, 1);
+        assert_eq!(got, frames(1..3), "good frames keep order");
+        let s = t.stats();
+        assert_eq!((s.received, s.corrupt), (2, 1));
     }
 
     #[test]
     fn send_many_accepts_exactly_the_free_space_and_counts_one_stall() {
-        for kind in Backend::ALL {
-            let t = kind.build(4);
-            let frames: Vec<Frame> = (0..7).map(frame).collect();
-            assert_eq!(t.send_many(&frames), 4, "{kind}: prefix fills capacity");
-            assert_eq!(
-                t.stats().would_block,
-                1,
-                "{kind}: one partial batch = one stall"
-            );
-            assert_eq!(t.send_many(&frames[4..]), 0, "{kind}: still full");
-            assert_eq!(t.stats().would_block, 2, "{kind}");
-            let mut buf = [zero_frame(); 8];
-            let batch = t.try_recv_many(&mut buf);
-            assert_eq!(
-                batch,
-                RecvBatch {
-                    received: 4,
-                    corrupt: 0
-                },
-                "{kind}"
-            );
-            assert_eq!(&buf[..4], &frames[..4], "{kind}: order preserved");
-            // Freed space accepts the rest of the batch.
-            assert_eq!(t.send_many(&frames[4..]), 3, "{kind}");
-        }
+        let t = InProcRing::new(4);
+        let all = frames(0..7);
+        assert_eq!(t.send_many(&all), 4, "prefix fills capacity");
+        assert_eq!(t.stats().would_block, 1, "one partial batch = one stall");
+        assert_eq!(t.send_many(&all[4..]), 0, "still full");
+        assert_eq!(t.stats().would_block, 2);
+        let (got, batch) = recv(&t, 8);
+        assert_eq!(
+            batch,
+            RecvBatch {
+                received: 4,
+                corrupt: 0
+            }
+        );
+        assert_eq!(got, &all[..4], "order preserved");
+        // Freed space accepts the rest of the batch.
+        assert_eq!(t.send_many(&all[4..]), 3);
     }
 
     #[test]
     fn partial_batch_drain_returns_short_counts_at_shutdown() {
         // The drain path asks for more than is buffered: the batch comes
         // back short rather than blocking, and a second call reports empty.
-        for kind in Backend::ALL {
-            let t = kind.build(16);
-            for i in 0..5 {
-                t.send(&frame(i)).expect("fits");
+        let t = InProcRing::new(16);
+        assert_eq!(t.send_many(&frames(0..5)), 5);
+        let (got, batch) = recv(&t, 16);
+        assert_eq!(
+            batch,
+            RecvBatch {
+                received: 5,
+                corrupt: 0
             }
-            let mut buf = [zero_frame(); 16];
-            let batch = t.try_recv_many(&mut buf);
-            assert_eq!(
-                batch,
-                RecvBatch {
-                    received: 5,
-                    corrupt: 0
-                },
-                "{kind}"
-            );
-            assert_eq!(&buf[..5], &(0..5).map(frame).collect::<Vec<_>>()[..]);
-            assert_eq!(
-                t.try_recv_many(&mut buf),
-                RecvBatch::default(),
-                "{kind}: drained"
-            );
-            assert_eq!(t.try_recv(), Recv::Empty, "{kind}");
-        }
-    }
-
-    #[test]
-    fn batched_and_single_frame_ingest_account_identically() {
-        // Property: for a random interleave of sends and receives, batched
-        // ingest produces the same frames in the same order — and the same
-        // SeqTracker accounting — as a frame-at-a-time loop, on every
-        // backend.
-        for kind in Backend::ALL {
-            for seed in 0..8u64 {
-                let mut rng = Xoshiro256::new(0xF1EE7 ^ seed);
-                let batched = kind.build(8);
-                let single = kind.build(8);
-                let mut batched_tracker = SeqTracker::new();
-                let mut single_tracker = SeqTracker::new();
-                let mut batched_out: Vec<Frame> = Vec::new();
-                let mut single_out: Vec<Frame> = Vec::new();
-                let mut next_send = 0u64;
-                let mut pending: Vec<Frame> = Vec::new();
-                for _ in 0..200 {
-                    if rng.below(2) == 0 {
-                        // Send a burst of 0..=6 fresh frames to both.
-                        let burst = rng.below(7) as usize;
-                        pending.clear();
-                        for _ in 0..burst {
-                            pending.push(frame(next_send));
-                            next_send += 1;
-                        }
-                        let accepted = batched.send_many(&pending);
-                        let mut single_accepted = 0;
-                        for f in &pending {
-                            if single.send(f).is_err() {
-                                break;
-                            }
-                            single_accepted += 1;
-                        }
-                        assert_eq!(accepted, single_accepted, "{kind} seed {seed}");
-                        // Frames refused by both paths are re-sent later:
-                        // rewind the shared counter past the refused tail.
-                        next_send -= (burst - accepted) as u64;
-                    } else {
-                        // Drain a burst of 1..=8 from both.
-                        let want = 1 + rng.below(8) as usize;
-                        let mut buf = vec![zero_frame(); want];
-                        let batch = batched.try_recv_many(&mut buf);
-                        assert_eq!(batch.corrupt, 0);
-                        for f in &buf[..batch.received] {
-                            assert!(batched_tracker.observe(f.seq));
-                            batched_out.push(*f);
-                        }
-                        for _ in 0..want {
-                            match single.try_recv() {
-                                Recv::Frame(f) => {
-                                    assert!(single_tracker.observe(f.seq));
-                                    single_out.push(f);
-                                }
-                                Recv::Empty => break,
-                                Recv::Corrupt => panic!("clean transport"),
-                            }
-                        }
-                    }
-                    assert_eq!(batched_out, single_out, "{kind} seed {seed}");
-                }
-                // Drain what's left and compare the final accounting.
-                let mut buf = [zero_frame(); 16];
-                loop {
-                    let batch = batched.try_recv_many(&mut buf);
-                    if batch.moved() == 0 {
-                        break;
-                    }
-                    for f in &buf[..batch.received] {
-                        assert!(batched_tracker.observe(f.seq));
-                        batched_out.push(*f);
-                    }
-                }
-                while let Recv::Frame(f) = single.try_recv() {
-                    assert!(single_tracker.observe(f.seq));
-                    single_out.push(f);
-                }
-                assert_eq!(batched_out, single_out, "{kind} seed {seed}");
-                assert_eq!(
-                    (batched_tracker.duplicates, batched_tracker.gaps),
-                    (single_tracker.duplicates, single_tracker.gaps),
-                    "{kind} seed {seed}: identical SeqTracker accounting"
-                );
-                let (b, s) = (batched.stats(), single.stats());
-                assert_eq!(b.sent, s.sent, "{kind} seed {seed}");
-                assert_eq!(b.received, s.received, "{kind} seed {seed}");
-                assert_eq!(b.corrupt, s.corrupt, "{kind} seed {seed}");
-            }
-        }
+        );
+        assert_eq!(got, frames(0..5));
+        assert_eq!(recv(&t, 16).1, RecvBatch::default(), "drained");
     }
 
     #[test]
     fn ingest_roundtrip_reassembles_every_backend_byte_identically() {
         let logs: Vec<CommitLog> = (0..100).map(log).collect();
-        for kind in Backend::ALL {
-            let got = ingest_roundtrip(kind, &logs).expect("clean roundtrip");
-            assert_eq!(got, logs, "{kind}");
-            assert_eq!(
-                titancfi::wire::stream_bytes(&got),
-                titancfi::wire::stream_bytes(&logs),
-                "{kind} byte-identical"
-            );
-        }
+        let got = ingest_roundtrip(&logs).expect("clean roundtrip");
+        assert_eq!(got, logs);
+        assert_eq!(
+            titancfi::wire::stream_bytes(&got),
+            titancfi::wire::stream_bytes(&logs),
+            "byte-identical"
+        );
     }
 }

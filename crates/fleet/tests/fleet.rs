@@ -5,8 +5,8 @@ use std::sync::Arc;
 use titancfi::{FailPolicy, ResilienceConfig};
 use titancfi_faults::{FaultClass, FaultConfig};
 use titancfi_fleet::{
-    call_dense_workload, run_fleet, validate_prometheus, AlertKind, Backend, FleetConfig,
-    HealthConfig, SocDevice, SocDeviceConfig, SupervisionConfig,
+    call_dense_workload, run_fleet, validate_prometheus, AlertKind, FleetConfig, HealthConfig,
+    SocDevice, SocDeviceConfig, SupervisionConfig,
 };
 use titancfi_soc::SocConfig;
 
@@ -215,42 +215,4 @@ fn alert_engine_pages_on_fault_injected_fleet() {
     assert!(report
         .exposition
         .contains("titancfi_alerts_total{kind=\"violation_burst\""));
-}
-
-#[test]
-fn single_backend_fleets_are_lossless_on_every_backend() {
-    for kind in Backend::ALL {
-        let program = Arc::new(call_dense_workload(3));
-        let config = FleetConfig {
-            devices: 3,
-            shards: 2,
-            passes: 300,
-            transport_capacity: 8,
-            backend: Some(kind),
-            ..FleetConfig::default()
-        };
-        let report = run_fleet(&config, move |_, seq, tx| {
-            Box::new(SocDevice::new(
-                SocDeviceConfig::new(Arc::clone(&program)),
-                tx,
-                seq,
-            ))
-        });
-        assert!(report.frames_ok > 0, "{kind}: streams");
-        assert!(
-            report.is_lossless(),
-            "{kind}: lost={} corrupt={} undrained={}",
-            report.frames_lost,
-            report.frames_corrupt,
-            report.undrained_devices
-        );
-        // Every frame went through this backend and no other.
-        for (backend, stats) in &report.per_backend {
-            if *backend == kind {
-                assert_eq!(stats.sent, report.frames_sent, "{kind}");
-            } else {
-                assert_eq!(stats.sent, 0, "{kind}: {backend} must be unused");
-            }
-        }
-    }
 }

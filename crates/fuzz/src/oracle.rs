@@ -484,22 +484,20 @@ pub fn check_source(
         )));
     }
 
-    // Fleet-ingest cell: the reference commit stream routed through every
-    // fleet transport backend (with real backpressure — the pump's ring is
-    // smaller than the stream) must reassemble byte-identically to the
-    // direct log tap. This pins the wire layer the fleet service ships
-    // against the same oracle that pins the simulator.
-    for backend in titancfi_fleet::Backend::ALL {
-        let reassembled = titancfi_fleet::transport::ingest_roundtrip(backend, &reference.stream)
-            .map_err(|e| diverge(format!("fleet ingest [{backend}]: {e}")))?;
-        if titancfi::wire::stream_bytes(&reassembled) != reference.stream_bytes() {
-            return Err(diverge(format!(
-                "fleet ingest [{backend}]: reassembled stream ({} logs) is not byte-identical \
-                 to the direct tap ({} logs)",
-                reassembled.len(),
-                reference.stream.len()
-            )));
-        }
+    // Fleet-ingest cell: the reference commit stream routed through the
+    // fleet's ring (with real backpressure — the pump's ring is smaller
+    // than the stream) must reassemble byte-identically to the direct log
+    // tap. This pins the wire layer the fleet service ships against the
+    // same oracle that pins the simulator.
+    let reassembled = titancfi_fleet::transport::ingest_roundtrip(&reference.stream)
+        .map_err(|e| diverge(format!("fleet ingest: {e}")))?;
+    if titancfi::wire::stream_bytes(&reassembled) != reference.stream_bytes() {
+        return Err(diverge(format!(
+            "fleet ingest: reassembled stream ({} logs) is not byte-identical to the direct \
+             tap ({} logs)",
+            reassembled.len(),
+            reference.stream.len()
+        )));
     }
 
     if matrix.multicore {

@@ -10,10 +10,10 @@
 //!   (45 cycles measured by the paper's RTL simulation),
 //! * taken branches/jumps cost an extra fetch bubble, divides are iterative.
 
-use crate::bus::{AccessInfo, RegionKind, SystemBus};
+use crate::bus::{RegionKind, SystemBus};
 use riscv_isa::{
-    classify, decode, predecode, BlockCache, BlockCacheStats, CfClass, DecodeCache,
-    DecodeCacheStats, Hart, Inst, MulOp, Retired, Trap, Xlen,
+    classify, predecode, CfClass, DecodeCache, DecodeCacheStats, Hart, Inst, MulOp, Retired, Trap,
+    Xlen,
 };
 use titancfi_obs::{Probe, RetireSample};
 
@@ -88,23 +88,6 @@ pub struct IbexCore {
     /// Predecoded instruction cache (fast path; architecturally invisible).
     decode_cache: DecodeCache,
     predecode: bool,
-    /// Superblock translation cache (block dispatch; architecturally
-    /// invisible, keyed on the decode cache's invalidation generation).
-    block_cache: BlockCache,
-}
-
-/// Result of dispatching one translated superblock via
-/// [`IbexCore::step_block`]. All but the final instruction are plain
-/// straight-line commits: non-CFI-relevant, RoT-private (no SoC-visible
-/// access), non-redirecting, below the cycle bound, with no interrupt
-/// becoming deliverable — exactly what per-instruction stepping would have
-/// retired without the embedder reacting.
-#[derive(Debug, Clone, Copy)]
-pub struct IbexBlockStep {
-    /// Instructions retired before the final one.
-    pub straightline: u64,
-    /// The final retired commit, or the event that ended execution.
-    pub result: Result<IbexCommit, IbexEvent>,
 }
 
 impl IbexCore {
@@ -120,7 +103,6 @@ impl IbexCore {
             irqs_taken: 0,
             decode_cache: DecodeCache::default(),
             predecode: predecode::fast_path_default(),
-            block_cache: BlockCache::default(),
         }
     }
 
@@ -132,14 +114,13 @@ impl IbexCore {
         self.decode_cache.invalidate_all();
     }
 
-    /// Resizes the decode and block caches (rounded up to powers of two,
-    /// min 16 each; a cache already of that size is kept). The defaults
-    /// cover kernel-sized firmware; embedders simulating many RoTs at once
+    /// Resizes the decode cache (rounded up to a power of two, min 16; a
+    /// cache already of that size is kept). The default covers
+    /// kernel-sized firmware; embedders simulating many RoTs at once
     /// right-size down to the firmware actually booted. Architecturally
     /// invisible — entries re-predecode on demand.
-    pub fn resize_caches(&mut self, decode_slots: usize, block_slots: usize) {
+    pub fn resize_caches(&mut self, decode_slots: usize) {
         self.decode_cache.resize(decode_slots);
-        self.block_cache.resize(block_slots);
     }
 
     /// Whether the predecode fast path is active.
@@ -233,18 +214,6 @@ impl IbexCore {
             }
         };
         let access = self.bus.take_access();
-        Ok(self.finish_commit(retired, cf_class, access))
-    }
-
-    /// Applies the Ibex timing model to one retired instruction — the
-    /// commit half of [`IbexCore::step`], shared with block dispatch so
-    /// both paths produce bit-identical commit streams.
-    fn finish_commit(
-        &mut self,
-        retired: Retired,
-        cf_class: CfClass,
-        access: Option<AccessInfo>,
-    ) -> IbexCommit {
         let mut cost = 1;
         if let Some(info) = access {
             cost += info.cycles;
@@ -263,121 +232,13 @@ impl IbexCore {
 
         self.cycle += cost;
         self.hart.csrs.mcycle = self.cycle;
-        IbexCommit {
+        Ok(IbexCommit {
             cycle: self.cycle,
             retired,
             cost,
             mem_kind: access.map(|a| a.kind),
             cf_class,
-        }
-    }
-
-    /// Translates the superblock starting at `entry`: a straight-line run
-    /// of predecoded ops ending at (and including) the first control-flow
-    /// instruction, capped at [`BlockCache::MAX_BLOCK_OPS`]. Lookahead
-    /// fetches go through [`SystemBus::fetch`], which is side-effect-free
-    /// on RAM and leaves no access record; a fetch that faults or fails to
-    /// decode simply ends the block there.
-    fn translate_block(&mut self, entry: u64, generation: u64) -> (u32, u32) {
-        let start = self.block_cache.begin();
-        let mut pc = entry;
-        for _ in 0..BlockCache::MAX_BLOCK_OPS {
-            let op = match self.decode_cache.lookup(pc) {
-                Some(op) => op,
-                None => {
-                    let Ok(word) = riscv_isa::Bus::fetch(&mut self.bus, pc) else {
-                        break;
-                    };
-                    let Ok(decoded) = decode(word, self.hart.xlen) else {
-                        break;
-                    };
-                    self.decode_cache.insert(pc, decoded)
-                }
-            };
-            self.block_cache.push(op);
-            if op.cf_class != CfClass::None {
-                break;
-            }
-            pc = pc.wrapping_add(u64::from(op.decoded.len));
-        }
-        self.block_cache.finish(entry, generation, start)
-    }
-
-    /// Dispatches one translated superblock: retires instructions from the
-    /// block arena until something the embedder could react to happens — a
-    /// CFI-relevant commit, an SoC-visible (mailbox/SCMI) access, `wfi`, an
-    /// interrupt becoming deliverable, the `until` cycle bound, a trap — or
-    /// the block ends internally (redirecting op, self-modifying store,
-    /// block cap). Behaviourally identical to calling [`IbexCore::step`]
-    /// `straightline + 1` times.
-    pub fn step_block(&mut self, until: u64) -> IbexBlockStep {
-        // Wake-up, interrupt entry, and undecodable entry words all go
-        // through the plain path, which already handles them.
-        if self.state == IbexState::Sleeping || self.hart.interrupt_ready() {
-            return IbexBlockStep {
-                straightline: 0,
-                result: self.step(),
-            };
-        }
-        let generation = self.decode_cache.generation();
-        let entry = self.hart.pc;
-        let (start, len) = match self.block_cache.lookup(entry, generation) {
-            Some(span) => span,
-            None => self.translate_block(entry, generation),
-        };
-        if len == 0 {
-            return IbexBlockStep {
-                straightline: 0,
-                result: self.step(),
-            };
-        }
-        for i in start..start + len {
-            // Ops before `i` all retired without stopping the block.
-            let straightline = u64::from(i - start);
-            let op = self.block_cache.op(i);
-            let retired = match self.hart.execute(&mut self.bus, op.decoded) {
-                Ok(r) => r,
-                Err(trap) => {
-                    // Mirror `step`: a trapped instruction charges nothing
-                    // and must not leak a partial access record.
-                    self.bus.take_access();
-                    return IbexBlockStep {
-                        straightline,
-                        result: Err(IbexEvent::Trapped(trap)),
-                    };
-                }
-            };
-            if op.store_bytes != 0 {
-                if let Some(addr) = retired.mem_addr {
-                    self.decode_cache
-                        .invalidate_store(addr, u64::from(op.store_bytes));
-                }
-            }
-            let access = self.bus.take_access();
-            let commit = self.finish_commit(retired, op.cf_class, access);
-            let last_in_block = i + 1 == start + len;
-            if last_in_block
-                || commit.cf_class.is_cfi_relevant()
-                || commit.mem_kind == Some(RegionKind::Soc)
-                || commit.retired.wfi
-                || commit.cycle >= until
-                || commit.retired.redirected()
-                || self.hart.interrupt_ready()
-                || self.decode_cache.generation() != generation
-            {
-                return IbexBlockStep {
-                    straightline,
-                    result: Ok(commit),
-                };
-            }
-        }
-        unreachable!("block dispatch always returns at the final op");
-    }
-
-    /// Hit/miss/install counters of the superblock cache.
-    #[must_use]
-    pub fn block_cache_stats(&self) -> BlockCacheStats {
-        self.block_cache.stats()
+        })
     }
 
     /// Like [`IbexCore::step`], but reports the retirement to `probe` —
@@ -577,118 +438,6 @@ mod tests {
         let profiler = rec.profiler.as_ref().expect("profiler attached");
         assert_eq!(profiler.total_cycles(), cycles);
         assert!(profiler.total_insts() >= 3, "jal + li + ret must retire");
-    }
-
-    #[test]
-    fn block_dispatch_matches_strict_stepping() {
-        let src = r"
-            _start:
-                li a0, 10
-                li a1, 0
-            loop:
-                add a1, a1, a0
-                addi a0, a0, -1
-                li t0, 0x10800
-                lw t1, 0(t0)        # RoT-private access: stays in-block
-                li t2, 0x80000000
-                lw t3, 0(t2)        # SoC access: must end the block
-                bnez a0, loop
-                call f
-                ebreak
-            f:  ret
-            ";
-        let mut strict = system(src);
-        strict.set_predecode(true);
-        let mut block = system(src);
-        block.set_predecode(true);
-
-        let mut strict_commits = Vec::new();
-        let strict_end = loop {
-            match strict.step() {
-                Ok(c) => strict_commits.push(c),
-                Err(e) => break e,
-            }
-        };
-        let mut n_block_commits = 0u64;
-        let block_end = loop {
-            let bs = block.step_block(u64::MAX);
-            n_block_commits += bs.straightline;
-            match bs.result {
-                Ok(c) => {
-                    // The terminal commit must be bit-identical to the
-                    // strict commit at the same position.
-                    assert_eq!(strict_commits[n_block_commits as usize], c);
-                    n_block_commits += 1;
-                }
-                Err(e) => break e,
-            }
-        };
-        assert_eq!(strict_end, block_end);
-        assert_eq!(n_block_commits as usize, strict_commits.len());
-        assert_eq!(strict.cycle(), block.cycle());
-        assert_eq!(strict.hart.reg(Reg::A1), block.hart.reg(Reg::A1));
-        assert!(block.block_cache_stats().hits > 0, "loop re-enters blocks");
-    }
-
-    #[test]
-    fn block_dispatch_ends_at_soc_access_and_wfi() {
-        let mut core = system(
-            r"
-            _start:
-                li t1, 0x80000000
-                lw a1, 0(t1)
-                nop
-                wfi
-                ebreak
-            ",
-        );
-        core.set_predecode(true);
-        let bs = core.step_block(u64::MAX); // li (no access yet)... block runs until SoC lw
-        let first = bs.result.expect("commit");
-        assert_eq!(
-            first.mem_kind,
-            Some(RegionKind::Soc),
-            "block must end at the SoC-visible access"
-        );
-        let bs = core.step_block(u64::MAX);
-        let second = bs.result.expect("commit");
-        assert!(second.retired.wfi, "block must end at wfi");
-        assert_eq!(core.state(), IbexState::Sleeping);
-    }
-
-    #[test]
-    fn block_dispatch_honours_interrupt_between_blocks() {
-        let mut core = system(
-            r"
-            _start:
-                la t0, handler
-                csrw mtvec, t0
-                li t0, 0x800
-                csrw mie, t0
-                csrsi mstatus, 8
-            spin:
-                nop
-                j spin
-            handler:
-                li a0, 42
-                ebreak
-            ",
-        );
-        core.set_predecode(true);
-        // Run a few blocks of the spin loop, then post the interrupt.
-        for _ in 0..4 {
-            let _ = core.step_block(u64::MAX);
-        }
-        core.set_irq(csr::MIX_MEIP, true);
-        let end = loop {
-            match core.step_block(u64::MAX).result {
-                Ok(_) => {}
-                Err(e) => break e,
-            }
-        };
-        assert_eq!(end, IbexEvent::Trapped(Trap::Breakpoint));
-        assert_eq!(core.hart.reg(Reg::A0), 42);
-        assert_eq!(core.irqs_taken, 1);
     }
 
     #[test]

@@ -91,7 +91,8 @@ pub struct SocConfig {
     /// program actually run — the caches dominate per-instance memory and
     /// are architecturally invisible.
     pub decode_cache_slots: usize,
-    /// Block-cache capacity (slots) applied to every core; see
+    /// Superblock-cache capacity (slots) applied to every host core; the
+    /// RoT steps one instruction at a time and has no block cache. See
     /// [`SocConfig::decode_cache_slots`].
     pub block_cache_slots: usize,
 }
@@ -316,8 +317,7 @@ impl SystemOnChip {
             })
             .collect();
         // The firmware boot predecodes into the final-capacity tables.
-        rot.core
-            .resize_caches(config.decode_cache_slots, config.block_cache_slots);
+        rot.core.resize_caches(config.decode_cache_slots);
         match config.firmware {
             FirmwareKind::Irq => {
                 let (_, ev) = rot.core.run_until_idle(1_000_000);

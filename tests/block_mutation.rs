@@ -1,9 +1,10 @@
 //! The planted decode-cache bug (`mutate_skip_store_invalidation`) must
-//! stay observable *through the superblock layer*: with the hook armed the
-//! generation counter freezes, so block dispatch replays stale
-//! translations and self-modifying code goes wrong under the fast path
-//! while strict stepping stays correct — exactly the divergence the fuzz
-//! mutation self-test (`crates/fuzz/tests/mutation.rs`) hunts for.
+//! stay observable *through the superblock layer*: with the hook armed a
+//! store neither evicts its slot nor bumps the generation counter, so
+//! CVA6's block dispatch replays stale translations (and the Ibex decode
+//! cache a stale decode) and self-modifying code goes wrong under the fast
+//! path while strict stepping stays correct — exactly the divergence the
+//! fuzz mutation self-test (`crates/fuzz/tests/mutation.rs`) hunts for.
 //!
 //! The hook is process-global, so this file contains exactly one test and
 //! lives in its own integration-test binary (its own process) — it must
@@ -52,20 +53,8 @@ fn ibex_a0(predecode: bool) -> u64 {
     bus.load(prog.base, &prog.bytes);
     let mut core = IbexCore::new(bus, prog.entry, IbexTiming::default());
     core.set_predecode(predecode);
-    if predecode {
-        // `run_until_idle` steps per-op; drive superblock dispatch directly
-        // so the predecoded arm really flows through the block layer.
-        loop {
-            match core.step_block(100_000).result {
-                Ok(_) => assert!(core.cycle() < 100_000, "budget exhausted"),
-                Err(ibex_model::IbexEvent::Trapped(_)) => break,
-                Err(e) => panic!("unexpected stop {e:?}"),
-            }
-        }
-    } else {
-        let (_, event) = core.run_until_idle(100_000);
-        assert!(matches!(event, Some(ibex_model::IbexEvent::Trapped(_))));
-    }
+    let (_, event) = core.run_until_idle(100_000);
+    assert!(matches!(event, Some(ibex_model::IbexEvent::Trapped(_))));
     core.hart.reg(Reg::A0)
 }
 
@@ -81,9 +70,9 @@ fn armed_mutation_is_visible_through_the_block_layer() {
     // Strict stepping fetches from memory each commit — immune to the bug.
     let strict_cva6 = cva6_a0(false);
     let strict_ibex = ibex_a0(false);
-    // Predecoded runs go through superblock dispatch (`run_silent` /
-    // `run_until_idle` use `step_block` whenever predecode is on), so the
-    // frozen generation must surface as a stale replay here.
+    // Predecoded runs replay cached decodes (CVA6's `run_silent` through
+    // its superblock layer, Ibex's `run_until_idle` through its decode
+    // cache), so the skipped invalidation must surface as a stale replay.
     let block_cva6 = cva6_a0(true);
     let block_ibex = ibex_a0(true);
     set_mutate_skip_store_invalidation(false);
@@ -97,7 +86,7 @@ fn armed_mutation_is_visible_through_the_block_layer() {
     );
     assert_eq!(
         block_ibex, 2,
-        "the armed mutation must replay the stale block on Ibex — if it \
+        "the armed mutation must replay the stale decode on Ibex — if it \
          doesn't, the fuzz mutation self-test has lost its teeth"
     );
 

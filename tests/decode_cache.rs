@@ -131,8 +131,8 @@ p2:
     ret
 ";
 
-/// RV32 variant of [`STRADDLE_RV64`]: no `sd`, so two word stores whose
-/// combined span crosses the same superblock boundary.
+/// RV32 variant of [`STRADDLE_RV64`] for the Ibex decode cache: no `sd`,
+/// so two word stores whose combined span crosses the `p1|p2` boundary.
 const STRADDLE_RV32: &str = r"
 _start:
     la   t0, p1
@@ -184,55 +184,29 @@ fn cva6_store_straddling_block_boundary_invalidates() {
     assert_eq!(runs[0], runs[1], "fast path must be cycle-invisible");
 }
 
-/// Drives an Ibex core through superblock dispatch until it traps
-/// (`run_until_idle` steps per-op and never enters the block layer),
-/// returning the retired-instruction count for cross-mode comparison.
-fn ibex_run_blocks(core: &mut ibex_model::IbexCore, max_cycles: u64) -> u64 {
-    let mut retired = 0;
-    while core.cycle() < max_cycles {
-        let bs = core.step_block(max_cycles);
-        retired += bs.straightline;
-        match bs.result {
-            Ok(_) => retired += 1,
-            Err(ibex_model::IbexEvent::Trapped(_)) => return retired,
-            Err(e) => panic!("unexpected stop {e:?}"),
-        }
-    }
-    panic!("cycle budget exhausted before the ebreak trap")
-}
-
 #[test]
 fn ibex_store_straddling_block_boundary_invalidates() {
     let mut runs = Vec::new();
     for predecode in [false, true] {
         let mut core = ibex_system(STRADDLE_RV32);
         core.set_predecode(predecode);
-        let retired = if predecode {
-            ibex_run_blocks(&mut core, 100_000)
-        } else {
-            let (burst, event) = core.run_until_idle(100_000);
-            assert!(
-                matches!(event, Some(ibex_model::IbexEvent::Trapped(_))),
-                "expected the ebreak trap, got {event:?}"
-            );
-            burst.len() as u64
-        };
+        let (burst, event) = core.run_until_idle(100_000);
+        assert!(
+            matches!(event, Some(ibex_model::IbexEvent::Trapped(_))),
+            "expected the ebreak trap, got {event:?}"
+        );
         assert_eq!(
             core.hart.reg(Reg::A0),
             27,
-            "predecode={predecode}: a block on one side of the patched \
+            "predecode={predecode}: a decoded op on one side of the patched \
              boundary replayed stale code"
         );
         if predecode {
             assert!(core.decode_cache_stats().invalidated > 0);
-            assert!(
-                core.block_cache_stats().installs > 2,
-                "both straddled blocks must retranslate after the stores"
-            );
         }
-        runs.push((core.cycle(), retired));
+        runs.push((core.cycle(), burst.len()));
     }
-    assert_eq!(runs[0], runs[1], "block dispatch must be cycle-invisible");
+    assert_eq!(runs[0], runs[1], "fast path must be cycle-invisible");
 }
 
 /// A store that patches an instruction *later in the very block being
@@ -272,36 +246,6 @@ fn cva6_store_into_currently_executing_block_refetches() {
         runs.push((core.cycle(), core.stats()));
     }
     assert_eq!(runs[0], runs[1], "fast path must be cycle-invisible");
-}
-
-#[test]
-fn ibex_store_into_currently_executing_block_refetches() {
-    let mut runs = Vec::new();
-    for predecode in [false, true] {
-        let mut core = ibex_system(PATCH_CURRENT_BLOCK);
-        core.set_predecode(predecode);
-        let retired = if predecode {
-            ibex_run_blocks(&mut core, 100_000)
-        } else {
-            let (burst, event) = core.run_until_idle(100_000);
-            assert!(
-                matches!(event, Some(ibex_model::IbexEvent::Trapped(_))),
-                "expected the ebreak trap, got {event:?}"
-            );
-            burst.len() as u64
-        };
-        assert_eq!(
-            core.hart.reg(Reg::A0),
-            9,
-            "predecode={predecode}: the live block kept executing its \
-             stale translation past the store"
-        );
-        if predecode {
-            assert!(core.decode_cache_stats().invalidated > 0);
-        }
-        runs.push((core.cycle(), retired));
-    }
-    assert_eq!(runs[0], runs[1], "block dispatch must be cycle-invisible");
 }
 
 /// An image delivered through the scrambled + SECDED + HMAC boot path must
