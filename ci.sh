@@ -87,27 +87,36 @@ ls "$fuzz_dir"/repros/*.repro.rs >/dev/null 2>&1 \
 rm -rf "$fuzz_dir"
 
 echo "==> throughput smoke (fast-path fingerprints + speedup regression gate)"
-# Regenerates BENCH_throughput.json in place. The binary exits nonzero if
-# the fast path's result fingerprints diverge from strict stepping, or if
-# any scenario's off/on speedup drops below 80% of the committed baseline
+# Gates against the committed BENCH_throughput.json and writes the smoke
+# report to a scratch dir. The binary writes its report before it gates
+# it, so an --out on the baseline would let a failing run overwrite the
+# baseline and pass the next one. The binary exits nonzero if the fast
+# path's result fingerprints diverge from strict stepping, or if any
+# scenario's off/on speedup drops below 80% of the committed baseline
 # (a missing or unparseable baseline fails too). The `observed` row runs with
 # a latency collector attached, so the same gate fails if observed runs
 # fall back to per-cycle stepping.
+throughput_dir=$(mktemp -d)
 cargo run --release -p titancfi-bench --bin throughput -- \
-    --smoke --out BENCH_throughput.json --baseline BENCH_throughput.json
-test -s BENCH_throughput.json || { echo "throughput smoke: report missing/empty"; exit 1; }
+    --smoke --out "$throughput_dir/BENCH_throughput.json" --baseline BENCH_throughput.json
+test -s "$throughput_dir/BENCH_throughput.json" || { echo "throughput smoke: report missing/empty"; exit 1; }
+rm -rf "$throughput_dir"
 
 echo "==> policy-cost smoke (per-policy firmware cycle costs + regression gate)"
-# Regenerates BENCH_policy.json in place. The binary exits nonzero if the
-# benign sequence is flagged under any policy configuration, if the
-# detection self-test misses a smashed jump / type-confused call /
-# hijacked return under the combined policy, or if any {policy, firmware}
-# row's mean check cost grew more than 10% over the committed baseline.
+# Gates against the committed BENCH_policy.json and writes the smoke
+# report to a scratch dir, for the same reason as the throughput step.
+# The binary exits nonzero if the benign sequence is flagged under any
+# policy configuration, if the detection self-test misses a smashed jump /
+# type-confused call / hijacked return under the combined policy, or if
+# any {policy, firmware} row's mean check cost grew more than 10% over the
+# committed baseline.
 # Costs are simulated RoT cycles, so the gate is deterministic and
 # machine-portable (a missing or unparseable baseline fails too).
+policy_dir=$(mktemp -d)
 cargo run --release -p titancfi-bench --bin policy_cost -- \
-    --smoke --out BENCH_policy.json --baseline BENCH_policy.json
-test -s BENCH_policy.json || { echo "policy-cost smoke: report missing/empty"; exit 1; }
+    --smoke --out "$policy_dir/BENCH_policy.json" --baseline BENCH_policy.json
+test -s "$policy_dir/BENCH_policy.json" || { echo "policy-cost smoke: report missing/empty"; exit 1; }
+rm -rf "$policy_dir"
 
 echo "==> latency smoke (span conservation + detection on every corruption class)"
 # The latency binary exits nonzero if any run breaks the span conservation

@@ -259,7 +259,6 @@ fn main() -> ExitCode {
             .collect();
         let cfg = CampaignConfig {
             workers: opts.workers,
-            retries: 0,
             ..CampaignConfig::default()
         };
         let outcome = run_campaign(jobs, &cfg, &telemetry);

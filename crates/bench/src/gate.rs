@@ -6,10 +6,11 @@
 //! [`Baseline::check`] matches each new row to the baseline row with the
 //! same key fields and applies the tool's tolerance to one metric.
 //!
-//! CI passes the same path to `--baseline` and `--out`, so a binary loads
-//! its baseline before it writes the new report. A baseline that is
-//! missing or unparseable fails the gate: it would otherwise pass, and
-//! then be overwritten by the run it failed to check.
+//! A binary may write its report before it gates it, so CI points `--out` at
+//! a scratch path and `--baseline` at the committed file: were they the
+//! same path, a failing run would overwrite the baseline with its own
+//! numbers and the next run would pass. A baseline that is missing or
+//! unparseable fails the gate: it would otherwise pass silently.
 
 use titancfi_harness::Json;
 

@@ -54,10 +54,9 @@ impl FirmwareKind {
 }
 
 /// The CFI policy routine shared by both firmware tops: the paper's
-/// shadow stack for backward edges, plus an optional forward-edge policy
-/// (a direct-mapped table of registered indirect-jump targets) that is
-/// disabled by default — enabling it needs no hardware change, which is
-/// exactly the software-defined-policy flexibility the paper argues for.
+/// shadow stack. Calls push the return address, returns pop and compare,
+/// and a plain indirect jump passes unchecked, as in [`CFI_CHECK_MC_ASM`]
+/// (the forward-edge policies live in [`CFI_CHECK_POLICY_ASM`]).
 ///
 /// Register budget: `t0`-`t2`, `a0`, `a1` (the registers the IRQ prologue
 /// spills) plus `ra`. The commit-log field offsets match
@@ -98,23 +97,7 @@ handle_jalr:
     beqz t2, do_ret
     addi t2, t1, -5
     beqz t2, do_ret
-    j    do_ijump            # plain indirect jump: forward-edge policy
-
-do_ijump:
-    la   a1, fe_enabled
-    lw   t1, 0(a1)           # policy enabled?                    [RoT]
-    beqz t1, respond_ok
-    lw   t1, 20(a0)          # actual jump target                 [SoC]
-    # Direct-mapped valid-target table: slot = (target >> 2) & 1023.
-    srli t2, t1, 2
-    li   t0, 1023
-    and  t2, t2, t0
-    slli t2, t2, 2
-    la   t0, fe_table
-    add  t2, t2, t0
-    lw   t2, 0(t2)           # registered target in the slot      [RoT]
-    beq  t2, t1, respond_ok
-    j    respond_violation
+    j    respond_ok          # plain indirect jump: not a return
 
 do_call:
     lw   t1, 12(a0)          # next address = return address     [SoC]
@@ -162,20 +145,18 @@ ssp:            .word ss_base    # current shadow stack pointer
 ss_limit_var:   .word ss_limit
 ss_base_var:    .word ss_base
 ss_overflows:   .word 0
-fe_enabled:     .word 0          # forward-edge policy off by default
 .align 4
 ss_base:        .zero 4096       # 1024 return-address slots
 ss_limit:
-.align 4
-fe_table:       .zero 4096       # 1024 direct-mapped valid jump targets
 ";
 
 /// The policy-suite CFI routine: every policy of the forward-edge suite —
 /// shadow stack (backward edge), Zicfilp-style landing pads, and KCFI type
 /// hashes — behind independent enable flags, so the `policy_cost` bench can
 /// measure each policy's firmware cycle cost in isolation and combined.
-/// This is a *separate* routine from [`CFI_CHECK_ASM`]: the Table I
-/// firmware stays byte-identical, pinning its published cycle counts.
+/// This is a *separate* routine from [`CFI_CHECK_ASM`], which stays the
+/// shadow stack alone, so the suite never moves Table I's CALL and RET
+/// counts.
 ///
 /// Policy state lives in the RoT scratchpad:
 ///
@@ -747,43 +728,6 @@ impl FirmwareRunner {
     #[must_use]
     pub fn kind(&self) -> FirmwareKind {
         self.kind
-    }
-
-    /// Enables the firmware's forward-edge policy. Provisioning writes go
-    /// directly into the RoT scratchpad — standing in for the secure
-    /// configuration interface firmware would expose at boot.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the firmware image lacks the policy state (a build bug).
-    pub fn enable_forward_edge(&mut self) {
-        let addr = self.symbol("fe_enabled");
-        self.rot
-            .core
-            .bus
-            .write(addr, riscv_isa::MemWidth::W, 1)
-            .expect("fe_enabled is in the scratchpad");
-    }
-
-    /// Registers `target` as a valid indirect-jump destination in the
-    /// firmware's direct-mapped table.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the slot computation exceeds the table (impossible) or
-    /// the scratchpad write fails.
-    pub fn register_jump_target(&mut self, target: u64) {
-        let table = self.symbol("fe_table");
-        let slot = (target >> 2) & 1023;
-        self.rot
-            .core
-            .bus
-            .write(
-                table + slot * 4,
-                riscv_isa::MemWidth::W,
-                target & 0xffff_ffff,
-            )
-            .expect("fe_table is in the scratchpad");
     }
 
     fn scratchpad_write(&mut self, addr: u64, value: u64) {

@@ -160,17 +160,28 @@ fn underflow_flagged_as_violation() {
 
 #[test]
 fn indirect_jump_passes_without_shadow_stack_effect() {
-    let mut fw = FirmwareRunner::new(FirmwareKind::Polling);
-    // jalr zero, 0(a5): indirect jump — forward-edge policy disabled here.
+    // jalr zero, 0(a5): a plain indirect jump, which a return-address
+    // policy passes straight to the verdict.
     let ij = CommitLog {
         pc: 0x8000_0000,
         insn: 0x0007_8067,
         next: 0x8000_0004,
         target: 0x8000_0200,
     };
-    assert!(!fw.check(&ij).violation);
-    // Shadow stack untouched: a following matched pair still works.
-    assert!(!fw.check(&call_log()).violation);
-    let ret = ret_log();
-    assert!(!fw.check(&ret).violation);
+    // IRQ / Polling / Optimized.
+    for (kind, latency) in FirmwareKind::ALL.into_iter().zip([235, 99, 79]) {
+        let mut fw = FirmwareRunner::new(kind);
+        let m = fw.check(&ij);
+        assert!(!m.violation, "{}", kind.name());
+        assert_eq!(m.latency, latency, "{}", kind.name());
+        assert_eq!(
+            m.breakdown.phase_total(Phase::Cfi).instructions,
+            26,
+            "{}",
+            kind.name()
+        );
+        // Shadow stack untouched: a following matched pair still works.
+        assert!(!fw.check(&call_log()).violation, "{}", kind.name());
+        assert!(!fw.check(&ret_log()).violation, "{}", kind.name());
+    }
 }

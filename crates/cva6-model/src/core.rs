@@ -208,12 +208,6 @@ impl<B: Bus> Cva6Core<B> {
         &mut self.hart
     }
 
-    /// The timing model (cache statistics, predictor counters).
-    #[must_use]
-    pub fn timing(&self) -> &TimingModel {
-        &self.timing
-    }
-
     /// Current cycle count.
     #[must_use]
     pub fn cycle(&self) -> u64 {
@@ -307,7 +301,6 @@ impl<B: Bus> Cva6Core<B> {
             retired.redirected(),
             retired.next,
             retired.target,
-            retired.mem_addr,
         );
 
         // Dual-commit modelling: a multi-cycle instruction leaves younger

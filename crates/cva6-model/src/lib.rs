@@ -27,10 +27,8 @@
 //! # }
 //! ```
 
-mod cache;
 mod core;
 mod timing;
 
-pub use crate::cache::{CacheConfig, DataCache};
 pub use crate::core::{Commit, CoreStats, Cva6Core, Halt};
 pub use crate::timing::{TimingConfig, TimingModel};

@@ -17,13 +17,12 @@
 //! dense code is penalised realistically — exactly the property the paper's
 //! slowdown tables depend on.
 
-use crate::cache::{CacheConfig, DataCache};
 use riscv_isa::{CfClass, Inst};
 
 /// Cycle-cost configuration, defaults tuned to CVA6 on FPGA.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TimingConfig {
-    /// Extra cycles for a data-cache load hit.
+    /// Extra cycles for a load (ideal memory: every load a cache hit).
     pub load_extra: u64,
     /// Extra cycles for a store.
     pub store_extra: u64,
@@ -37,9 +36,6 @@ pub struct TimingConfig {
     pub mispredict_penalty: u64,
     /// Return-address-stack depth (0 disables return prediction).
     pub ras_depth: usize,
-    /// Data-cache model; `None` charges the flat `load_extra`/`store_extra`
-    /// costs (ideal memory, the configuration the table experiments use).
-    pub dcache: Option<CacheConfig>,
 }
 
 impl Default for TimingConfig {
@@ -52,7 +48,6 @@ impl Default for TimingConfig {
             taken_bubble: 1,
             mispredict_penalty: 5,
             ras_depth: 8,
-            dcache: None,
         }
     }
 }
@@ -62,7 +57,6 @@ impl Default for TimingConfig {
 pub struct TimingModel {
     config: TimingConfig,
     ras: Vec<u64>,
-    dcache: Option<DataCache>,
     /// Mispredictions observed (for counters/ablation).
     pub mispredicts: u64,
     /// Correct return predictions.
@@ -76,16 +70,9 @@ impl TimingModel {
         TimingModel {
             config,
             ras: Vec::new(),
-            dcache: config.dcache.map(DataCache::new),
             mispredicts: 0,
             ras_hits: 0,
         }
-    }
-
-    /// The data-cache model, when enabled (for hit-rate reporting).
-    #[must_use]
-    pub fn dcache(&self) -> Option<&DataCache> {
-        self.dcache.as_ref()
     }
 
     /// The active configuration.
@@ -105,22 +92,13 @@ impl TimingModel {
         taken: bool,
         next: u64,
         target: u64,
-        mem_addr: Option<u64>,
     ) -> u64 {
         let c = self.config;
         let mut cycles = 1;
         match inst {
-            Inst::Load { .. } | Inst::LoadReserved { .. } => {
-                cycles += c.load_extra;
-                if let (Some(cache), Some(addr)) = (self.dcache.as_mut(), mem_addr) {
-                    cycles += cache.access(addr);
-                }
-            }
+            Inst::Load { .. } | Inst::LoadReserved { .. } => cycles += c.load_extra,
             Inst::Store { .. } | Inst::StoreConditional { .. } | Inst::Amo { .. } => {
                 cycles += c.store_extra;
-                if let (Some(cache), Some(addr)) = (self.dcache.as_mut(), mem_addr) {
-                    cycles += cache.access(addr);
-                }
             }
             Inst::Mul { op, .. } => {
                 cycles += match op {
@@ -195,7 +173,7 @@ mod tests {
     #[test]
     fn alu_costs_one_cycle() {
         let mut m = model();
-        assert_eq!(m.cost(&Inst::NOP, CfClass::None, false, 4, 4, None), 1);
+        assert_eq!(m.cost(&Inst::NOP, CfClass::None, false, 4, 4), 1);
     }
 
     #[test]
@@ -208,7 +186,7 @@ mod tests {
             width: riscv_isa::MemWidth::D,
             unsigned: false,
         };
-        assert!(m.cost(&ld, CfClass::None, false, 4, 4, None) > 1);
+        assert!(m.cost(&ld, CfClass::None, false, 4, 4) > 1);
     }
 
     #[test]
@@ -224,12 +202,12 @@ mod tests {
             offset: 0,
         };
         // Call from pc with next=0x104 pushes 0x104.
-        m.cost(&call, CfClass::Call, true, 0x104, 0x140, None);
-        let predicted = m.cost(&ret, CfClass::Return, true, 0x144, 0x104, None);
+        m.cost(&call, CfClass::Call, true, 0x104, 0x140);
+        let predicted = m.cost(&ret, CfClass::Return, true, 0x144, 0x104);
         assert_eq!(m.ras_hits, 1);
         // Return to a different address: mispredicted.
-        m.cost(&call, CfClass::Call, true, 0x104, 0x140, None);
-        let mispredicted = m.cost(&ret, CfClass::Return, true, 0x144, 0xdead, None);
+        m.cost(&call, CfClass::Call, true, 0x104, 0x140);
+        let mispredicted = m.cost(&ret, CfClass::Return, true, 0x144, 0xdead);
         assert!(mispredicted > predicted);
         assert_eq!(m.mispredicts, 1);
     }
@@ -246,7 +224,7 @@ mod tests {
             offset: 0x40,
         };
         for i in 0..5u64 {
-            m.cost(&call, CfClass::Call, true, 0x100 + i * 4, 0x200, None);
+            m.cost(&call, CfClass::Call, true, 0x100 + i * 4, 0x200);
         }
         assert_eq!(m.ras.len(), 2);
     }
@@ -261,10 +239,10 @@ mod tests {
             offset: -8,
         };
         // Backward branch taken: predicted correctly, cheap.
-        let taken = m.cost(&back, CfClass::Branch, true, 0x108, 0x100, None);
+        let taken = m.cost(&back, CfClass::Branch, true, 0x108, 0x100);
         assert_eq!(taken, 1 + m.config().taken_bubble);
         // Backward branch NOT taken: mispredicted.
-        let nottaken = m.cost(&back, CfClass::Branch, false, 0x108, 0x108, None);
+        let nottaken = m.cost(&back, CfClass::Branch, false, 0x108, 0x108);
         assert_eq!(nottaken, 1 + m.config().mispredict_penalty);
         assert_eq!(m.mispredicts, 1);
     }
@@ -277,7 +255,7 @@ mod tests {
             rs1: Reg::A5,
             offset: 0,
         };
-        let cost = m.cost(&ij, CfClass::IndirectJump, true, 0x104, 0x900, None);
+        let cost = m.cost(&ij, CfClass::IndirectJump, true, 0x104, 0x900);
         assert_eq!(cost, 1 + m.config().mispredict_penalty);
     }
 
@@ -291,6 +269,6 @@ mod tests {
             rs2: Reg::A2,
             word: false,
         };
-        assert!(m.cost(&div, CfClass::None, false, 4, 4, None) >= 10);
+        assert!(m.cost(&div, CfClass::None, false, 4, 4) >= 10);
     }
 }

@@ -5,19 +5,17 @@
 //! as one campaign instead of a serial chain:
 //!
 //! * [`job`] — the unit of work: a [`job::Job`] is a label plus a `run`;
-//! * [`pool`] — an `std::thread` worker pool (`-j N`) with per-attempt
-//!   panic isolation (`catch_unwind`), a wall-clock watchdog, and bounded
-//!   retry, collecting results in deterministic submission order. Every
-//!   campaign runs every job, so its output always comes from the code
-//!   that printed it;
+//! * [`pool`] — an `std::thread` worker pool (`-j N`) with per-job panic
+//!   isolation (`catch_unwind`) and a wall-clock watchdog, collecting
+//!   results in deterministic submission order. Every campaign runs every
+//!   job once, so its output always comes from the code that printed it;
 //! * [`telemetry`] — a JSONL event stream plus the aggregated
 //!   [`telemetry::CampaignReport`];
 //! * [`json`] — the hand-rolled JSON both of the above serialize with;
 //! * [`prng`] — SplitMix64 / xoshiro256**, the workspace's deterministic
 //!   randomness source (replaces the `rand` crate);
 //! * [`steal`] — per-worker sharded queues with batch work-stealing, the
-//!   scheduler substrate for long-lived re-enqueued work (fleet devices);
-//! * [`timing`] — a minimal micro-benchmark runner (replaces criterion).
+//!   scheduler substrate for long-lived re-enqueued work (fleet devices).
 //!
 //! The crate deliberately has **zero dependencies** — it sits at the very
 //! bottom of the workspace DAG so every other crate (including
@@ -29,7 +27,6 @@ pub mod pool;
 pub mod prng;
 pub mod steal;
 pub mod telemetry;
-pub mod timing;
 
 pub use job::{Job, JobOutput};
 pub use json::Json;

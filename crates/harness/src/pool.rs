@@ -2,17 +2,19 @@
 //!
 //! `std::thread` only, by design (the workspace carries no external
 //! dependencies): a shared FIFO of job indices, `-j N` worker threads, and
-//! per-job *attempt threads* so that one diverging simulation can neither
+//! one *job thread* per job so that one diverging simulation can neither
 //! kill nor hang a campaign:
 //!
-//! * **panic isolation** — each attempt runs under `catch_unwind`; a panic
-//!   is recorded as that job's failure and the worker moves on;
-//! * **wall-clock watchdog** — the worker waits on the attempt's result
-//!   channel with a timeout; if the attempt is still running when the
-//!   watchdog fires, the attempt thread is abandoned (it is detached and
-//!   its eventual result discarded) and the job is recorded as timed out;
-//! * **bounded retry** — error returns and panics are retried up to a
-//!   configured number of times before the job is declared failed.
+//! * **panic isolation** — each job runs under `catch_unwind`; a panic is
+//!   recorded as that job's failure and the worker moves on;
+//! * **wall-clock watchdog** — the worker waits on the job's result
+//!   channel with a timeout; if the job is still running when the
+//!   watchdog fires, its thread is abandoned (it is detached and its
+//!   eventual result discarded) and the job is recorded as timed out.
+//!
+//! A job that returns an error or panics is recorded as failed after its
+//! one run: every job is a deterministic simulation, so a second run would
+//! fail the same way.
 //!
 //! Results are collected in submission order, so campaign output assembled
 //! from them is deterministic regardless of worker interleaving — the
@@ -34,10 +36,8 @@ use std::time::{Duration, Instant};
 pub struct CampaignConfig {
     /// Worker thread count (`-j N`); clamped to at least 1.
     pub workers: usize,
-    /// Watchdog limit per attempt.
+    /// Watchdog limit per job.
     pub job_timeout: Duration,
-    /// Additional attempts after the first failure (0 = no retry).
-    pub retries: u32,
 }
 
 impl Default for CampaignConfig {
@@ -45,7 +45,6 @@ impl Default for CampaignConfig {
         CampaignConfig {
             workers: 1,
             job_timeout: Duration::from_secs(600),
-            retries: 1,
         }
     }
 }
@@ -67,10 +66,10 @@ impl CampaignOutcome {
     }
 }
 
-enum AttemptEnd {
+enum JobEnd {
     Done(JobOutput),
     Timeout,
-    Exhausted { error: String, attempts: u32 },
+    Failed(String),
 }
 
 /// Runs every job through the pool and aggregates the results.
@@ -186,49 +185,32 @@ fn run_one(
     telemetry.emit("job_start", vec![("label", Json::Str(label.clone()))]);
     let started = Instant::now();
 
-    let mut attempts = 0u32;
-    let end = loop {
-        attempts += 1;
-        let (tx, rx) = mpsc::channel();
-        let attempt_job = Arc::clone(job);
-        // A detached attempt thread: if the watchdog fires we abandon it
-        // rather than wait, so a diverging simulation cannot hang the pool.
-        let spawned = std::thread::Builder::new()
-            .name(format!("campaign-attempt-{label}"))
-            .spawn(move || {
-                let result = panic::catch_unwind(|| attempt_job.run());
-                let _ = tx.send(result);
-            });
-        if spawned.is_err() {
-            break AttemptEnd::Exhausted {
-                error: "could not spawn attempt thread".into(),
-                attempts,
-            };
-        }
-        let error = match rx.recv_timeout(cfg.job_timeout) {
-            Ok(Ok(Ok(output))) => break AttemptEnd::Done(output),
-            Ok(Ok(Err(message))) => message,
-            Ok(Err(payload)) => format!("panic: {}", panic_message(payload.as_ref())),
-            Err(RecvTimeoutError::Timeout | RecvTimeoutError::Disconnected) => {
-                break AttemptEnd::Timeout;
+    let (tx, rx) = mpsc::channel();
+    let thread_job = Arc::clone(job);
+    // A detached job thread: if the watchdog fires we abandon it rather
+    // than wait, so a diverging simulation cannot hang the pool.
+    let spawned = std::thread::Builder::new()
+        .name(format!("campaign-job-{label}"))
+        .spawn(move || {
+            let result = panic::catch_unwind(|| thread_job.run());
+            let _ = tx.send(result);
+        });
+    let end = if spawned.is_err() {
+        JobEnd::Failed("could not spawn job thread".into())
+    } else {
+        match rx.recv_timeout(cfg.job_timeout) {
+            Ok(Ok(Ok(output))) => JobEnd::Done(output),
+            Ok(Ok(Err(message))) => JobEnd::Failed(message),
+            Ok(Err(payload)) => {
+                JobEnd::Failed(format!("panic: {}", panic_message(payload.as_ref())))
             }
-        };
-        telemetry.emit(
-            "job_attempt_failed",
-            vec![
-                ("label", Json::Str(label.clone())),
-                ("attempt", Json::Num(f64::from(attempts))),
-                ("error", Json::Str(error.clone())),
-            ],
-        );
-        if attempts > cfg.retries {
-            break AttemptEnd::Exhausted { error, attempts };
+            Err(RecvTimeoutError::Timeout | RecvTimeoutError::Disconnected) => JobEnd::Timeout,
         }
     };
 
     let duration_ms = started.elapsed().as_secs_f64() * 1000.0;
     match end {
-        AttemptEnd::Done(output) => {
+        JobEnd::Done(output) => {
             // `job_finish` (schema 4) carries the label and duration only:
             // the full metrics live in the job record and campaign report,
             // so repeating them per line would bloat the stream for no
@@ -249,7 +231,7 @@ fn run_one(
                 output: Some(output),
             }
         }
-        AttemptEnd::Timeout => {
+        JobEnd::Timeout => {
             let limit_ms = cfg.job_timeout.as_millis() as u64;
             telemetry.emit(
                 "job_timeout",
@@ -266,19 +248,18 @@ fn run_one(
                 output: None,
             }
         }
-        AttemptEnd::Exhausted { error, attempts } => {
+        JobEnd::Failed(error) => {
             telemetry.emit(
                 "job_failed",
                 vec![
                     ("label", Json::Str(label.clone())),
                     ("error", Json::Str(error.clone())),
-                    ("attempts", Json::Num(f64::from(attempts))),
                 ],
             );
             JobRecord {
                 index,
                 label,
-                status: JobStatus::Failed { error, attempts },
+                status: JobStatus::Failed { error },
                 duration_ms,
                 output: None,
             }
@@ -305,7 +286,7 @@ mod tests {
     struct FnJob {
         name: String,
         runs: Arc<AtomicU32>,
-        body: Box<dyn Fn(u32) -> Result<JobOutput, String> + Send + Sync>,
+        body: Box<dyn Fn() -> Result<JobOutput, String> + Send + Sync>,
     }
 
     impl std::panic::RefUnwindSafe for FnJob {}
@@ -315,14 +296,14 @@ mod tests {
             self.name.clone()
         }
         fn run(&self) -> Result<JobOutput, String> {
-            let attempt = self.runs.fetch_add(1, Ordering::SeqCst);
-            (self.body)(attempt)
+            self.runs.fetch_add(1, Ordering::SeqCst);
+            (self.body)()
         }
     }
 
     fn job(
         name: &str,
-        body: impl Fn(u32) -> Result<JobOutput, String> + Send + Sync + 'static,
+        body: impl Fn() -> Result<JobOutput, String> + Send + Sync + 'static,
     ) -> (Arc<dyn Job>, Arc<AtomicU32>) {
         let runs = Arc::new(AtomicU32::new(0));
         let j = FnJob {
@@ -341,7 +322,7 @@ mod tests {
     fn all_jobs_complete_in_submission_order() {
         let jobs: Vec<Arc<dyn Job>> = (0..16)
             .map(|i| {
-                job(&format!("j{i}"), move |_| {
+                job(&format!("j{i}"), move || {
                     Ok(JobOutput::text(format!("out{i}")))
                 })
                 .0
@@ -361,56 +342,51 @@ mod tests {
 
     #[test]
     fn panic_is_isolated_and_campaign_completes() {
-        let (ok1, _) = job("ok1", |_| Ok(JobOutput::text("fine".to_string())));
-        let (boom, _) = job("boom", |_| panic!("deliberate test panic"));
-        let (ok2, _) = job("ok2", |_| Ok(JobOutput::text("fine too".to_string())));
+        let (ok1, _) = job("ok1", || Ok(JobOutput::text("fine".to_string())));
+        let (boom, boom_runs) = job("boom", || panic!("deliberate test panic"));
+        let (ok2, _) = job("ok2", || Ok(JobOutput::text("fine too".to_string())));
         let cfg = CampaignConfig {
             workers: 2,
-            retries: 0,
             ..CampaignConfig::default()
         };
         let outcome = run_campaign(vec![ok1, boom, ok2], &cfg, &quiet());
         assert_eq!(outcome.report.ran, 2);
         assert_eq!(outcome.report.failed, 1);
         match &outcome.records[1].status {
-            JobStatus::Failed { error, attempts } => {
+            JobStatus::Failed { error } => {
                 assert!(error.contains("deliberate test panic"), "{error}");
-                assert_eq!(*attempts, 1);
             }
             other => panic!("expected failure, got {other:?}"),
         }
+        assert_eq!(boom_runs.load(Ordering::SeqCst), 1, "no second run");
         assert!(outcome.records[0].completed() && outcome.records[2].completed());
     }
 
     #[test]
-    fn bounded_retry_recovers_flaky_job() {
-        let (flaky, runs) = job("flaky", |attempt| {
-            if attempt == 0 {
-                Err("transient".to_string())
-            } else {
-                Ok(JobOutput::text("recovered".to_string()))
+    fn failing_job_runs_once_and_is_recorded_failed() {
+        let (failing, runs) = job("failing", || Err("deterministic failure".to_string()));
+        let outcome = run_campaign(vec![failing], &CampaignConfig::default(), &quiet());
+        assert_eq!(runs.load(Ordering::SeqCst), 1, "no second run");
+        assert_eq!(outcome.report.ran, 0);
+        assert_eq!(outcome.report.failed, 1);
+        assert_eq!(
+            outcome.records[0].status,
+            JobStatus::Failed {
+                error: "deterministic failure".to_string()
             }
-        });
-        let cfg = CampaignConfig {
-            retries: 2,
-            ..CampaignConfig::default()
-        };
-        let outcome = run_campaign(vec![flaky], &cfg, &quiet());
-        assert_eq!(outcome.report.ran, 1);
-        assert_eq!(runs.load(Ordering::SeqCst), 2);
+        );
     }
 
     #[test]
     fn watchdog_abandons_hung_job() {
-        let (hang, _) = job("hang", |_| {
+        let (hang, _) = job("hang", || {
             std::thread::sleep(Duration::from_secs(3600));
             Ok(JobOutput::text("never".to_string()))
         });
-        let (ok, _) = job("ok", |_| Ok(JobOutput::text("done".to_string())));
+        let (ok, _) = job("ok", || Ok(JobOutput::text("done".to_string())));
         let cfg = CampaignConfig {
             workers: 1,
             job_timeout: Duration::from_millis(50),
-            retries: 3,
         };
         let started = Instant::now();
         let outcome = run_campaign(vec![hang, ok], &cfg, &quiet());
@@ -437,7 +413,7 @@ mod tests {
         let _ = std::fs::remove_file(&path);
         let file = std::fs::File::create(&path).expect("create telemetry file");
         let telemetry = Telemetry::new(TelemetrySink::File(file));
-        let (ok, _) = job("ok", |_| {
+        let (ok, _) = job("ok", || {
             let mut out = JobOutput::text("done".to_string());
             out.metrics.push(("sim_cycles".to_string(), 1234.0));
             Ok(out)

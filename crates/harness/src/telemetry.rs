@@ -1,6 +1,6 @@
 //! Structured campaign telemetry.
 //!
-//! Every pool event — job start, finish, retry, failure — is emitted
+//! Every pool event — job start, finish, timeout, failure — is emitted
 //! as one JSON object per line (JSONL) to a configurable sink, timestamped
 //! in milliseconds since campaign start. The same events aggregate into a
 //! [`CampaignReport`]: completion counts, wall time, total simulated
@@ -83,12 +83,10 @@ impl Telemetry {
 pub enum JobStatus {
     /// Ran to completion.
     Completed,
-    /// All attempts failed (error return or panic).
+    /// The job returned an error or panicked.
     Failed {
-        /// The last error message.
+        /// The error message (or panic payload).
         error: String,
-        /// How many attempts were made.
-        attempts: u32,
     },
     /// The watchdog gave up waiting for it.
     TimedOut {
@@ -106,7 +104,7 @@ pub struct JobRecord {
     pub label: String,
     /// Terminal status.
     pub status: JobStatus,
-    /// Wall-clock duration of the job, retries included.
+    /// Wall-clock duration of the job.
     pub duration_ms: f64,
     /// The output, if completed.
     pub output: Option<crate::job::JobOutput>,
@@ -127,7 +125,7 @@ pub struct CampaignReport {
     pub total: usize,
     /// Jobs that ran to completion.
     pub ran: usize,
-    /// Jobs that failed after retries.
+    /// Jobs that returned an error or panicked.
     pub failed: usize,
     /// Jobs abandoned by the watchdog.
     pub timed_out: usize,
@@ -264,7 +262,6 @@ mod tests {
                 2,
                 JobStatus::Failed {
                     error: "boom".to_string(),
-                    attempts: 2,
                 },
                 None,
             ),
@@ -316,7 +313,6 @@ mod tests {
             2,
             JobStatus::Failed {
                 error: "x".to_string(),
-                attempts: 1,
             },
             None,
         );

@@ -119,7 +119,7 @@ pub fn nested_call_stream(base_pc: u64, depth: usize) -> Vec<CommitLog> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::policy::{CfiPolicy, Verdict};
+    use crate::policy::{CfiPolicy, Verdict, ViolationKind};
     use crate::shadow_stack::ShadowStackPolicy;
 
     fn detect(stream: &[CommitLog]) -> Option<usize> {
@@ -164,7 +164,7 @@ mod tests {
     #[test]
     fn jop_not_detected_by_shadow_stack_alone() {
         // A JOP attack leaves returns intact: the shadow stack alone must
-        // NOT flag it — that is exactly why the forward-edge policy exists.
+        // NOT flag it — that is exactly why the landing-pad policy exists.
         let mut clean = nested_call_stream(0x8000_0000, 5);
         clean.insert(
             5,
@@ -181,14 +181,23 @@ mod tests {
         }
         .apply(&clean);
         assert_eq!(detect(&attacked), None);
-        // The combined policy does catch it.
-        let mut fe = crate::forward_edge::ForwardEdgePolicy::new();
-        fe.register_entry(0x9000);
+        // The combined policy does catch it, at the hijacked jump.
+        let mut lp = crate::landing_pad::LandingPadPolicy::new();
+        lp.register_pad(0x9000, 1);
         let mut combined = crate::combined::CombinedPolicy::new()
             .with(ShadowStackPolicy::new(1024))
-            .with(fe);
-        let caught = attacked.iter().any(|log| !combined.check(log).is_allowed());
-        assert!(caught, "combined policy detects JOP");
+            .with(lp);
+        let caught = attacked.iter().find_map(|log| match combined.check(log) {
+            Verdict::Violation(kind) => Some(kind),
+            Verdict::Allowed => None,
+        });
+        assert_eq!(
+            caught,
+            Some(ViolationKind::LandingPadMissing {
+                target: 0x6666_0000
+            }),
+            "combined policy detects JOP"
+        );
     }
 
     #[test]

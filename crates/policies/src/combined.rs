@@ -12,12 +12,23 @@ use titancfi::CommitLog;
 /// # Examples
 ///
 /// ```
-/// use titancfi_policies::{CombinedPolicy, ForwardEdgePolicy, ShadowStackPolicy};
+/// use titancfi::CommitLog;
+/// use titancfi_policies::{
+///     CfiPolicy, CombinedPolicy, LandingPadPolicy, ShadowStackPolicy, Verdict, ViolationKind,
+/// };
 ///
-/// let policy = CombinedPolicy::new()
+/// let mut lp = LandingPadPolicy::new();
+/// lp.register_pad(0x2000, 1);
+/// let mut policy = CombinedPolicy::new()
 ///     .with(ShadowStackPolicy::new(1024))
-///     .with(ForwardEdgePolicy::new());
+///     .with(lp);
 /// assert_eq!(policy.len(), 2);
+/// // jalr zero, 0(a5) to a gadget: the landing-pad half flags it
+/// let jop = CommitLog { pc: 0x100, insn: 0x0007_8067, next: 0x104, target: 0x2342 };
+/// assert_eq!(
+///     policy.check(&jop),
+///     Verdict::Violation(ViolationKind::LandingPadMissing { target: 0x2342 })
+/// );
 /// ```
 #[derive(Default)]
 pub struct CombinedPolicy {
@@ -92,17 +103,17 @@ impl CfiPolicy for CombinedPolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::forward_edge::ForwardEdgePolicy;
+    use crate::landing_pad::LandingPadPolicy;
     use crate::policy::ViolationKind;
     use crate::shadow_stack::ShadowStackPolicy;
 
     #[test]
     fn both_policies_enforced() {
-        let mut fe = ForwardEdgePolicy::new();
-        fe.register_entry(0x3000);
+        let mut lp = LandingPadPolicy::new();
+        lp.register_pad(0x3000, 1);
         let mut combined = CombinedPolicy::new()
             .with(ShadowStackPolicy::new(64))
-            .with(fe);
+            .with(lp);
 
         // Valid call.
         let call = CommitLog {
@@ -112,7 +123,7 @@ mod tests {
             target: 0x3000,
         };
         assert!(combined.check(&call).is_allowed());
-        // Indirect jump to a gadget: caught by the forward-edge half.
+        // Indirect jump to a gadget: caught by the landing-pad half.
         let jop = CommitLog {
             pc: 0x200,
             insn: 0x0007_8067,
@@ -121,7 +132,7 @@ mod tests {
         };
         assert_eq!(
             combined.check(&jop),
-            Verdict::Violation(ViolationKind::ForwardEdge { target: 0x3456 })
+            Verdict::Violation(ViolationKind::LandingPadMissing { target: 0x3456 })
         );
         // Hijacked return: caught by the shadow-stack half.
         let rop = CommitLog {

@@ -23,11 +23,6 @@ pub enum ViolationKind {
     },
     /// A return retired with an empty shadow stack.
     ShadowStackUnderflow,
-    /// An indirect jump landed outside its allowed target set (JOP).
-    ForwardEdge {
-        /// The disallowed target.
-        target: u64,
-    },
     /// Authentication of spilled CFI metadata failed (tampering).
     SpillAuthFailure,
     /// An indirect jump/call landed on an instruction that is not an
@@ -68,9 +63,6 @@ impl fmt::Display for ViolationKind {
                 )
             }
             ViolationKind::ShadowStackUnderflow => f.write_str("shadow stack underflow"),
-            ViolationKind::ForwardEdge { target } => {
-                write!(f, "indirect jump to disallowed target {target:#x}")
-            }
             ViolationKind::SpillAuthFailure => {
                 f.write_str("spilled metadata failed authentication")
             }

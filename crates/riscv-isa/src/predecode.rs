@@ -23,8 +23,10 @@
 //! core models do this in their `set_predecode`/`load` paths).
 //!
 //! The global [`fast_path_default`] switch seeds the predecode flag of newly
-//! constructed cores; table binaries flip it to prove byte-identical output
-//! with the fast path off.
+//! constructed cores. Its only caller outside this module's own test is
+//! `tests/decode_cache.rs::tables_byte_identical_with_fast_path_default_flipped`,
+//! which flips it to prove the tables byte-identical with the fast path off;
+//! everything else pins the fast path per core or per SoC.
 
 use crate::cfi::{classify, CfClass};
 use crate::decode::Decoded;
@@ -43,8 +45,9 @@ pub fn fast_path_default() -> bool {
 }
 
 /// Sets the process-wide fast-path default sampled at core construction.
-/// Used by the fingerprint pins and the throughput benchmark to run the
-/// exact same experiment with and without the fast path.
+/// Outside its own unit test, the one caller is
+/// `tests/decode_cache.rs::tables_byte_identical_with_fast_path_default_flipped`,
+/// which renders the tables with the default off and on.
 pub fn set_fast_path_default(on: bool) {
     FAST_PATH_DEFAULT.store(on, Ordering::SeqCst);
 }
