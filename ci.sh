@@ -10,6 +10,11 @@ cargo fmt --all -- --check
 echo "==> cargo clippy (-D warnings)"
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "==> cargo doc (-D warnings)"
+# Broken intra-doc links (a renamed or deleted item a doc comment still
+# names) are warnings, so deny them.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
+
 echo "==> cargo build --release"
 cargo build --workspace --release
 

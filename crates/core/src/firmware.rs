@@ -15,13 +15,23 @@
 //!   IRQ entry/exit (paper §V-B "Polling");
 //! * [`FirmwareKind::Optimized`] — the polling firmware on the low-latency
 //!   interconnect profile (1-cycle scratchpad, 8-cycle SoC).
+//!
+//! One emitter writes every image's check routine from shared fragments.
+//! Two options extend the Table I routine: one shadow-stack bank per host
+//! core ([`build_multicore_firmware`], the paper's §VII multi-core hosts),
+//! and the policy suite ([`FirmwareRunner::new_policy`]: landing pads and
+//! KCFI type hashes beside the shadow stack, each behind an enable flag).
+//! Every image boots through [`boot`], for the [`FirmwareRunner`] and the
+//! SoC alike.
 
 use crate::accounting::{Breakdown, Category, Phase};
 use crate::commit_log::CommitLog;
+use ibex_model::IbexEvent;
 use opentitan_model::rot::{map, LatencyProfile};
 use opentitan_model::OpenTitan;
 use riscv_asm::{assemble, Program};
 use riscv_isa::{Bus as _, CfClass};
+use std::fmt::Write as _;
 
 /// Firmware/interconnect variant (the three sections of Table I).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -53,280 +63,16 @@ impl FirmwareKind {
     }
 }
 
-/// The CFI policy routine shared by both firmware tops: the paper's
-/// shadow stack. Calls push the return address, returns pop and compare,
-/// and a plain indirect jump passes unchecked, as in [`CFI_CHECK_MC_ASM`]
-/// (the forward-edge policies live in [`CFI_CHECK_POLICY_ASM`]).
-///
-/// Register budget: `t0`-`t2`, `a0`, `a1` (the registers the IRQ prologue
-/// spills) plus `ra`. The commit-log field offsets match
-/// [`CommitLog::to_words`]. Addresses are compared on their low 32 bits —
-/// the reference SoC's physical address space fits in 32 bits.
-const CFI_CHECK_ASM: &str = r"
-# ---------------- CFI policy: shadow stack ----------------
-cfi_begin:
-cfi_check:
-    li   a0, 0xc0000000      # CFI mailbox base
-    lw   t0, 0(a0)           # commit log: uncompressed insn     [SoC]
-    andi t1, t0, 0x7f
-    addi t2, t1, -0x6f       # JAL opcode?
-    beqz t2, handle_jal
-    addi t2, t1, -0x67       # JALR opcode?
-    beqz t2, handle_jalr
-    j    respond_ok          # filter never sends anything else
-
-handle_jal:
-    srli t1, t0, 7
-    andi t1, t1, 31          # rd
-    addi t2, t1, -1
-    beqz t2, do_call         # rd == ra
-    addi t2, t1, -5
-    beqz t2, do_call         # rd == t0 (alternate link)
-    j    respond_ok          # direct jump: immutable target
-
-handle_jalr:
-    srli t1, t0, 7
-    andi t1, t1, 31          # rd
-    addi t2, t1, -1
-    beqz t2, do_call
-    addi t2, t1, -5
-    beqz t2, do_call
-    srli t1, t0, 15
-    andi t1, t1, 31          # rs1
-    addi t2, t1, -1
-    beqz t2, do_ret
-    addi t2, t1, -5
-    beqz t2, do_ret
-    j    respond_ok          # plain indirect jump: not a return
-
-do_call:
-    lw   t1, 12(a0)          # next address = return address     [SoC]
-    la   a1, ssp
-    lw   t2, 0(a1)           # shadow stack pointer              [RoT]
-    sw   t1, 0(t2)           # push                              [RoT]
-    addi t2, t2, 4
-    sw   t2, 0(a1)           # update pointer                    [RoT]
-    lw   t1, 4(a1)           # stack limit                       [RoT]
-    bltu t2, t1, respond_ok
-    # Overflow: the runtime policy layer spills + authenticates via HMAC;
-    # the firmware records the event and keeps the newest frames.
-    lw   t1, 12(a1)          # overflow counter                  [RoT]
-    addi t1, t1, 1
-    sw   t1, 12(a1)          #                                   [RoT]
-    j    respond_ok
-
-do_ret:
-    lw   t1, 20(a0)          # actual return target              [SoC]
-    la   a1, ssp
-    lw   t2, 0(a1)           # shadow stack pointer              [RoT]
-    lw   t0, 8(a1)           # stack base                        [RoT]
-    bleu t2, t0, respond_violation   # pop from empty stack
-    addi t2, t2, -4
-    sw   t2, 0(a1)           # update pointer                    [RoT]
-    lw   t0, 0(t2)           # expected return address           [RoT]
-    bne  t0, t1, respond_violation
-    j    respond_ok
-
-respond_ok:
-    li   t0, 0
-    j    respond
-respond_violation:
-    li   t0, 1
-respond:
-    sw   t0, 0(a0)           # verdict in data word 0            [SoC]
-    li   t0, 1
-    sw   t0, 0x24(a0)        # completion (hw clears doorbell)   [SoC]
-    ret
-cfi_end:
-
-# ---------------- policy state (RoT scratchpad) ----------------
-.align 4
-ssp:            .word ss_base    # current shadow stack pointer
-ss_limit_var:   .word ss_limit
-ss_base_var:    .word ss_base
-ss_overflows:   .word 0
-.align 4
-ss_base:        .zero 4096       # 1024 return-address slots
-ss_limit:
-";
-
-/// The policy-suite CFI routine: every policy of the forward-edge suite —
-/// shadow stack (backward edge), Zicfilp-style landing pads, and KCFI type
-/// hashes — behind independent enable flags, so the `policy_cost` bench can
-/// measure each policy's firmware cycle cost in isolation and combined.
-/// This is a *separate* routine from [`CFI_CHECK_ASM`], which stays the
-/// shadow stack alone, so the suite never moves Table I's CALL and RET
-/// counts.
-///
-/// Policy state lives in the RoT scratchpad:
-///
-/// * `lp_table` — 1024 direct-mapped landing-pad addresses,
-///   slot = `(target >> 2) & 1023`; indirect calls and indirect jumps must
-///   hit their slot exactly;
-/// * `kcfi_sites` — 512 direct-mapped `{site_pc, expected_hash}` pairs;
-///   a site miss means the call is uninstrumented and skips the check;
-/// * `kcfi_fns` — 512 direct-mapped `{fn_addr, type_hash}` pairs standing
-///   in for the `[fn-4]` hash words of host memory (the RoT keeps a
-///   provisioned mirror rather than issuing a host-memory read per check).
-const CFI_CHECK_POLICY_ASM: &str = r"
-# ---------------- CFI policy suite: SS + lpad + KCFI ----------------
-cfi_begin:
-cfi_check:
-    li   a0, 0xc0000000      # CFI mailbox base
-    lw   t0, 0(a0)           # commit log: uncompressed insn     [SoC]
-    andi t1, t0, 0x7f
-    addi t2, t1, -0x6f       # JAL opcode?
-    beqz t2, p_jal
-    addi t2, t1, -0x67       # JALR opcode?
-    beqz t2, p_jalr
-    j    p_ok                # filter never sends anything else
-
-p_jal:
-    srli t1, t0, 7
-    andi t1, t1, 31          # rd
-    addi t2, t1, -1
-    beqz t2, p_push          # direct call: backward edge only
-    addi t2, t1, -5
-    beqz t2, p_push
-    j    p_ok                # direct jump: immutable target
-
-p_jalr:
-    srli t1, t0, 7
-    andi t1, t1, 31          # rd
-    addi t2, t1, -1
-    beqz t2, p_icall
-    addi t2, t1, -5
-    beqz t2, p_icall
-    srli t1, t0, 15
-    andi t1, t1, 31          # rs1
-    addi t2, t1, -1
-    beqz t2, p_ret
-    addi t2, t1, -5
-    beqz t2, p_ret
-    j    p_lp_jump           # plain indirect jump: forward edge only
-
-# --- indirect call: landing pad, then KCFI, then shadow-stack push ---
-p_icall:
-    la   a1, pol_lp_enabled
-    lw   t1, 0(a1)           #                                   [RoT]
-    beqz t1, p_icall_kcfi
-    lw   t1, 20(a0)          # actual call target                [SoC]
-    srli t2, t1, 2           # slot = (target >> 2) & 1023
-    li   t0, 1023
-    and  t2, t2, t0
-    slli t2, t2, 2
-    la   t0, lp_table
-    add  t2, t2, t0
-    lw   t2, 0(t2)           # registered pad in the slot        [RoT]
-    bne  t2, t1, p_violation
-p_icall_kcfi:
-    la   a1, pol_kcfi_enabled
-    lw   t1, 0(a1)           #                                   [RoT]
-    beqz t1, p_push
-    lw   t1, 4(a0)           # call-site pc (low word)           [SoC]
-    srli t2, t1, 2           # slot = (pc >> 2) & 511, 8B entries
-    li   t0, 511
-    and  t2, t2, t0
-    slli t2, t2, 3
-    la   t0, kcfi_sites
-    add  t0, t0, t2
-    lw   t2, 0(t0)           # stored site pc                    [RoT]
-    bne  t2, t1, p_push      # site not instrumented: skip
-    lw   t0, 4(t0)           # expected type hash                [RoT]
-    lw   t1, 20(a0)          # actual call target                [SoC]
-    srli t2, t1, 2           # slot = (target >> 2) & 511
-    li   a1, 511
-    and  t2, t2, a1
-    slli t2, t2, 3
-    la   a1, kcfi_fns
-    add  a1, a1, t2
-    lw   t2, 0(a1)           # stored fn address                 [RoT]
-    bne  t2, t1, p_violation # target carries no type hash
-    lw   t2, 4(a1)           # fn type hash                      [RoT]
-    bne  t2, t0, p_violation # wrong type
-    j    p_push
-
-# --- plain indirect jump: landing pad only ---
-p_lp_jump:
-    la   a1, pol_lp_enabled
-    lw   t1, 0(a1)           #                                   [RoT]
-    beqz t1, p_ok
-    lw   t1, 20(a0)          # actual jump target                [SoC]
-    srli t2, t1, 2
-    li   t0, 1023
-    and  t2, t2, t0
-    slli t2, t2, 2
-    la   t0, lp_table
-    add  t2, t2, t0
-    lw   t2, 0(t2)           #                                   [RoT]
-    bne  t2, t1, p_violation
-    j    p_ok
-
-# --- shadow-stack push (calls) ---
-p_push:
-    la   a1, pol_ss_enabled
-    lw   t1, 0(a1)           #                                   [RoT]
-    beqz t1, p_ok
-    lw   t1, 12(a0)          # next address = return address     [SoC]
-    la   a1, p_ssp
-    lw   t2, 0(a1)           # shadow stack pointer              [RoT]
-    sw   t1, 0(t2)           # push                              [RoT]
-    addi t2, t2, 4
-    sw   t2, 0(a1)           # update pointer                    [RoT]
-    lw   t1, 4(a1)           # stack limit                       [RoT]
-    bltu t2, t1, p_ok
-    lw   t1, 12(a1)          # overflow counter                  [RoT]
-    addi t1, t1, 1
-    sw   t1, 12(a1)          #                                   [RoT]
-    j    p_ok
-
-# --- shadow-stack pop + compare (returns) ---
-p_ret:
-    la   a1, pol_ss_enabled
-    lw   t1, 0(a1)           #                                   [RoT]
-    beqz t1, p_ok
-    lw   t1, 20(a0)          # actual return target              [SoC]
-    la   a1, p_ssp
-    lw   t2, 0(a1)           # shadow stack pointer              [RoT]
-    lw   t0, 8(a1)           # stack base                        [RoT]
-    bleu t2, t0, p_violation # pop from empty stack
-    addi t2, t2, -4
-    sw   t2, 0(a1)           # update pointer                    [RoT]
-    lw   t0, 0(t2)           # expected return address           [RoT]
-    bne  t0, t1, p_violation
-    j    p_ok
-
-p_ok:
-    li   t0, 0
-    j    p_respond
-p_violation:
-    li   t0, 1
-p_respond:
-    sw   t0, 0(a0)           # verdict in data word 0            [SoC]
-    li   t0, 1
-    sw   t0, 0x24(a0)        # completion (hw clears doorbell)   [SoC]
-    ret
-cfi_end:
-
-# ---------------- policy-suite state (RoT scratchpad) ----------------
-.align 4
-pol_ss_enabled:   .word 0
-pol_lp_enabled:   .word 0
-pol_kcfi_enabled: .word 0
-p_ssp:            .word p_ss_base
-p_ss_limit_var:   .word p_ss_limit
-p_ss_base_var:    .word p_ss_base
-p_ss_overflows:   .word 0
-.align 4
-p_ss_base:        .zero 4096     # 1024 return-address slots
-p_ss_limit:
-.align 4
-lp_table:         .zero 4096     # 1024 direct-mapped pad addresses
-.align 4
-kcfi_sites:       .zero 4096     # 512 {site_pc, expected_hash} pairs
-.align 4
-kcfi_fns:         .zero 4096     # 512 {fn_addr, type_hash} pairs
-";
+/// Return-address slots of the shadow stack, split evenly across its banks.
+const SS_SLOTS: u64 = 1024;
+/// Slots of the suite's direct-mapped landing-pad table (4-byte entries),
+/// slot = `(target >> 2) % LP_SLOTS`.
+const LP_SLOTS: u64 = 1024;
+/// Slots of each of the suite's two direct-mapped KCFI tables (8-byte
+/// entries), slot = `(addr >> 2) % KCFI_SLOTS`: `kcfi_sites` holds
+/// `{site_pc, expected_hash}` and `kcfi_fns` holds `{fn_addr, type_hash}`,
+/// the RoT's provisioned mirror of the `[fn-4]` hash words.
+const KCFI_SLOTS: u64 = 512;
 
 /// The interrupt-driven firmware top (paper §IV-C structure).
 const IRQ_TOP_ASM: &str = r"
@@ -380,158 +126,311 @@ poll_loop:
     j    poll_loop
 ";
 
-/// The multi-core CFI policy: identical to [`CFI_CHECK_ASM`]'s shadow
-/// stack, but the commit log carries the originating core's id in mailbox
-/// word 7 and the firmware keeps one shadow-stack *bank per core* — the
-/// paper's "multi-core hosts" future work (§VII). Bank records are 16
-/// bytes: {ssp, limit, base, overflow-count}.
-const CFI_CHECK_MC_ASM: &str = r"
-# ---------------- CFI policy: per-core shadow stacks ----------------
+/// Assembles the image for `kind` whose check routine keeps `banks` shadow
+/// stacks (one, or two picked by mailbox word 7), with the landing-pad +
+/// KCFI suite beside them when `suite` is set.
+///
+/// The routine is the shadow stack of paper §IV-C: calls push the return
+/// address, returns pop and compare, and a plain indirect jump passes
+/// unchecked unless the suite checks its landing pad. Register budget:
+/// `t0`-`t2`, `a0`, `a1` (the registers the IRQ prologue spills) plus
+/// `ra`. The commit-log field offsets match [`CommitLog::to_words`].
+/// Addresses are compared on their low 32 bits — the reference SoC's
+/// physical address space fits in 32 bits.
+fn emit(kind: FirmwareKind, banks: u64, suite: bool) -> Program {
+    let top = match kind {
+        FirmwareKind::Irq => IRQ_TOP_ASM,
+        FirmwareKind::Polling | FirmwareKind::Optimized => POLLING_TOP_ASM,
+    };
+    let (icall, ijump, forward_edge, ss_enabled) = if suite {
+        let ss_enabled = enabled("pol_ss_enabled", "respond_ok");
+        ("do_icall", "do_ijump", forward_edge_suite(), ss_enabled)
+    } else {
+        ("do_call", "respond_ok", String::new(), String::new())
+    };
+    let push_load = load_and_select(banks, "lw   t1, 12(a0)          # return address  [SoC]");
+    let pop_load = load_and_select(banks, "lw   t1, 20(a0)          # return target   [SoC]");
+    let state = policy_state(banks, suite);
+    let source = format!(
+        r"{top}
+# ---------------- CFI check: decode ----------------
 cfi_begin:
 cfi_check:
     li   a0, 0xc0000000      # CFI mailbox base
     lw   t0, 0(a0)           # commit log: uncompressed insn     [SoC]
     andi t1, t0, 0x7f
-    addi t2, t1, -0x6f
-    beqz t2, mc_handle_jal
-    addi t2, t1, -0x67
-    beqz t2, mc_handle_jalr
-    j    mc_respond_ok
+    addi t2, t1, -0x6f       # JAL opcode?
+    beqz t2, handle_jal
+    addi t2, t1, -0x67       # JALR opcode?
+    beqz t2, handle_jalr
+    j    respond_ok          # filter never sends anything else
 
-mc_handle_jal:
+handle_jal:
     srli t1, t0, 7
-    andi t1, t1, 31
+    andi t1, t1, 31          # rd
     addi t2, t1, -1
-    beqz t2, mc_do_call
+    beqz t2, do_call         # rd == ra
     addi t2, t1, -5
-    beqz t2, mc_do_call
-    j    mc_respond_ok
+    beqz t2, do_call         # rd == t0 (alternate link)
+    j    respond_ok          # direct jump: immutable target
 
-mc_handle_jalr:
+handle_jalr:
     srli t1, t0, 7
-    andi t1, t1, 31
+    andi t1, t1, 31          # rd
     addi t2, t1, -1
-    beqz t2, mc_do_call
+    beqz t2, {icall}
     addi t2, t1, -5
-    beqz t2, mc_do_call
+    beqz t2, {icall}
     srli t1, t0, 15
-    andi t1, t1, 31
+    andi t1, t1, 31          # rs1
     addi t2, t1, -1
-    beqz t2, mc_do_ret
+    beqz t2, do_ret
     addi t2, t1, -5
-    beqz t2, mc_do_ret
-    j    mc_respond_ok
-
-mc_do_call:
-    # a1 <- this core's bank record (16 bytes each, id in mailbox word 7)
-    lw   t2, 28(a0)          # core id                           [SoC]
-    andi t2, t2, 1           # two banks modelled
-    slli t2, t2, 4
-    la   a1, ssp_banks
-    add  a1, a1, t2
-    lw   t1, 12(a0)          # return address                    [SoC]
-    lw   t2, 0(a1)           # bank ssp                          [RoT]
+    beqz t2, do_ret
+    j    {ijump}             # plain indirect jump: not a return
+{forward_edge}
+# ---------------- shadow stack ----------------
+do_call:
+{ss_enabled}{push_load}
+    lw   t2, 0(a1)           # shadow stack pointer              [RoT]
     sw   t1, 0(t2)           # push                              [RoT]
     addi t2, t2, 4
-    sw   t2, 0(a1)           #                                   [RoT]
-    lw   t1, 4(a1)           # bank limit                        [RoT]
-    bltu t2, t1, mc_respond_ok
+    sw   t2, 0(a1)           # update pointer                    [RoT]
+    lw   t1, 4(a1)           # stack limit                       [RoT]
+    bltu t2, t1, respond_ok
+    # Overflow: the runtime policy layer spills + authenticates via HMAC;
+    # the firmware records the event and keeps the newest frames.
     lw   t1, 12(a1)          # overflow counter                  [RoT]
     addi t1, t1, 1
-    sw   t1, 12(a1)
-    j    mc_respond_ok
+    sw   t1, 12(a1)          #                                   [RoT]
+    j    respond_ok
 
-mc_do_ret:
-    lw   t2, 28(a0)          # core id                           [SoC]
-    andi t2, t2, 1
-    slli t2, t2, 4
-    la   a1, ssp_banks
-    add  a1, a1, t2
-    lw   t1, 20(a0)          # actual return target              [SoC]
-    lw   t2, 0(a1)           # bank ssp                          [RoT]
-    lw   t0, 8(a1)           # bank base                         [RoT]
-    bleu t2, t0, mc_respond_violation
+do_ret:
+{ss_enabled}{pop_load}
+    lw   t2, 0(a1)           # shadow stack pointer              [RoT]
+    lw   t0, 8(a1)           # stack base                        [RoT]
+    bleu t2, t0, respond_violation   # pop from empty stack
     addi t2, t2, -4
-    sw   t2, 0(a1)
-    lw   t0, 0(t2)           # expected                          [RoT]
-    bne  t0, t1, mc_respond_violation
-    j    mc_respond_ok
+    sw   t2, 0(a1)           # update pointer                    [RoT]
+    lw   t0, 0(t2)           # expected return address           [RoT]
+    bne  t0, t1, respond_violation
+    j    respond_ok
 
-mc_respond_ok:
+# ---------------- verdict ----------------
+respond_ok:
     li   t0, 0
-    j    mc_respond
-mc_respond_violation:
+    j    respond
+respond_violation:
     li   t0, 1
-mc_respond:
-    sw   t0, 0(a0)           # verdict                           [SoC]
+respond:
+    sw   t0, 0(a0)           # verdict in data word 0            [SoC]
     li   t0, 1
-    sw   t0, 0x24(a0)        # completion                        [SoC]
+    sw   t0, 0x24(a0)        # completion (hw clears doorbell)   [SoC]
     ret
 cfi_end:
+{state}"
+    );
+    assemble(&source, riscv_isa::Xlen::Rv32, map::SRAM_BASE)
+        .expect("embedded firmware must assemble")
+}
 
-# ---------------- per-core policy state ----------------
-.align 4
-ssp_banks:
-ssp0:           .word ss0_base
-ss0_limit_var:  .word ss0_limit
-ss0_base_var:   .word ss0_base
-ss0_overflows:  .word 0
-ssp1:           .word ss1_base
-ss1_limit_var:  .word ss1_limit
-ss1_base_var:   .word ss1_base
-ss1_overflows:  .word 0
-.align 4
-ss0_base:       .zero 2048
-ss0_limit:
-.align 4
-ss1_base:       .zero 2048
-ss1_limit:
-";
+/// Skips to `skip` unless the suite's `flag` word is set.
+fn enabled(flag: &str, skip: &str) -> String {
+    format!(
+        "    la   a1, {flag}
+    lw   t1, 0(a1)           #                                   [RoT]
+    beqz t1, {skip}
+"
+    )
+}
 
-/// Assembles the multi-core polling firmware (two shadow-stack banks,
-/// core id in mailbox word 7).
+/// The mailbox `load` into `t1`, and `a1` pointed at the logging core's
+/// shadow-stack record. One stack loads first; two banks select first, by
+/// the core id in mailbox word 7, over 16-byte records.
+fn load_and_select(banks: u64, load: &str) -> String {
+    match banks {
+        1 => format!("    {load}\n    la   a1, ssp0"),
+        2 => format!(
+            "    lw   t2, 28(a0)          # core id                           [SoC]
+    andi t2, t2, 1           # two banks
+    slli t2, t2, 4
+    la   a1, ssp0
+    add  a1, a1, t2
+    {load}"
+        ),
+        _ => panic!("the bank select models one or two banks, not {banks}"),
+    }
+}
+
+/// The suite's forward edges. An indirect call must land on the pad
+/// registered in its slot, then match its site's expected KCFI type hash
+/// (an uninstrumented site skips the hash), then pushes; a plain indirect
+/// jump checks its landing pad only.
+fn forward_edge_suite() -> String {
+    let (icall_pad, ijump_pad) = (landing_pad("do_icall_kcfi"), landing_pad("respond_ok"));
+    let kcfi_enabled = enabled("pol_kcfi_enabled", "do_call");
+    let mask = KCFI_SLOTS - 1;
+    format!(
+        r"
+# ---------------- forward edges: landing pads + KCFI ----------------
+do_icall:
+{icall_pad}do_icall_kcfi:
+{kcfi_enabled}    lw   t1, 4(a0)           # call-site pc (low word)           [SoC]
+    srli t2, t1, 2           # slot of 8-byte entries
+    li   t0, {mask}
+    and  t2, t2, t0
+    slli t2, t2, 3
+    la   t0, kcfi_sites
+    add  t0, t0, t2
+    lw   t2, 0(t0)           # stored site pc                    [RoT]
+    bne  t2, t1, do_call     # site not instrumented: skip
+    lw   t0, 4(t0)           # expected type hash                [RoT]
+    lw   t1, 20(a0)          # actual call target                [SoC]
+    srli t2, t1, 2
+    li   a1, {mask}
+    and  t2, t2, a1
+    slli t2, t2, 3
+    la   a1, kcfi_fns
+    add  a1, a1, t2
+    lw   t2, 0(a1)           # stored fn address                 [RoT]
+    bne  t2, t1, respond_violation  # target carries no type hash
+    lw   t2, 4(a1)           # fn type hash                      [RoT]
+    bne  t2, t0, respond_violation  # wrong type
+    j    do_call
+
+do_ijump:
+{ijump_pad}    j    respond_ok
+"
+    )
+}
+
+/// The landing-pad check: the target must be the pad registered in its
+/// slot. Skips to `skip` while the check is disabled.
+fn landing_pad(skip: &str) -> String {
+    let enabled = enabled("pol_lp_enabled", skip);
+    let mask = LP_SLOTS - 1;
+    format!(
+        "{enabled}    lw   t1, 20(a0)          # actual target                     [SoC]
+    srli t2, t1, 2
+    li   t0, {mask}
+    and  t2, t2, t0
+    slli t2, t2, 2
+    la   t0, lp_table
+    add  t2, t2, t0
+    lw   t2, 0(t2)           # registered pad in the slot        [RoT]
+    bne  t2, t1, respond_violation
+"
+    )
+}
+
+/// The policy state in the RoT scratchpad: the suite's enable flags, one
+/// `{ssp, limit, base, overflow-count}` record per bank, the banks'
+/// stacks, then the suite's tables.
+fn policy_state(banks: u64, suite: bool) -> String {
+    let mut s = String::from(
+        "\n# ---------------- policy state (RoT scratchpad) ----------------\n.align 4\n",
+    );
+    if suite {
+        s.push_str("pol_ss_enabled: .word 0\npol_lp_enabled: .word 0\npol_kcfi_enabled: .word 0\n");
+    }
+    for b in 0..banks {
+        let _ = writeln!(s, "ssp{b}: .word ss{b}_base, ss{b}_limit, ss{b}_base, 0");
+    }
+    for b in 0..banks {
+        let _ = writeln!(
+            s,
+            ".align 4\nss{b}_base: .zero {}\nss{b}_limit:",
+            4 * SS_SLOTS / banks
+        );
+    }
+    if suite {
+        for (table, bytes) in [
+            ("lp_table", 4 * LP_SLOTS),
+            ("kcfi_sites", 8 * KCFI_SLOTS),
+            ("kcfi_fns", 8 * KCFI_SLOTS),
+        ] {
+            let _ = writeln!(s, ".align 4\n{table}: .zero {bytes}");
+        }
+    }
+    s
+}
+
+/// Assembles the multi-core polling firmware: two shadow-stack banks, the
+/// logging core's id in mailbox word 7.
 ///
 /// # Panics
 ///
 /// Panics if the embedded sources fail to assemble (a build-time bug).
 #[must_use]
 pub fn build_multicore_firmware() -> Program {
-    let source = format!("{POLLING_TOP_ASM}\n{CFI_CHECK_MC_ASM}");
-    assemble(&source, riscv_isa::Xlen::Rv32, map::SRAM_BASE)
-        .expect("embedded multicore firmware must assemble")
+    emit(FirmwareKind::Polling, 2, false)
 }
 
-/// Assembles the firmware for `kind`, based at the RoT scratchpad.
+/// Assembles the Table I firmware for `kind`, based at the RoT scratchpad.
 ///
 /// # Panics
 ///
 /// Panics if the embedded sources fail to assemble (a build-time bug).
 #[must_use]
 pub fn build_firmware(kind: FirmwareKind) -> Program {
-    let top = match kind {
-        FirmwareKind::Irq => IRQ_TOP_ASM,
-        FirmwareKind::Polling | FirmwareKind::Optimized => POLLING_TOP_ASM,
-    };
-    let source = format!("{top}\n{CFI_CHECK_ASM}");
-    assemble(&source, riscv_isa::Xlen::Rv32, map::SRAM_BASE)
-        .expect("embedded firmware must assemble")
+    emit(kind, 1, false)
 }
 
-/// Assembles the policy-suite firmware (shadow stack + landing pads + KCFI
-/// behind enable flags) for `kind`.
+/// A RoT booted to its idle point, with the addresses the host side reads.
+#[derive(Debug)]
+pub struct BootedRot {
+    /// The RoT, asleep on `wfi` (IRQ) or spinning on the poll loop.
+    pub rot: OpenTitan,
+    /// `[cfi_begin, cfi_end)`: the check routine, for phase attribution.
+    pub cfi_range: (u64, u64),
+    /// The poll loop's address; zero for the IRQ firmware.
+    pub poll_loop: u64,
+}
+
+/// Loads `image` into a RoT on `kind`'s latency profile, sizes its decode
+/// cache to `decode_cache_slots`, and boots it to its idle point: asleep on
+/// `wfi` for [`FirmwareKind::Irq`], else the first retirement at
+/// `poll_loop`.
 ///
 /// # Panics
 ///
-/// Panics if the embedded sources fail to assemble (a build-time bug).
+/// Panics if the image lacks `cfi_begin`, `cfi_end` or (polling kinds)
+/// `poll_loop`, or if the firmware traps or fails to reach its idle point.
 #[must_use]
-pub fn build_policy_firmware(kind: FirmwareKind) -> Program {
-    let top = match kind {
-        FirmwareKind::Irq => IRQ_TOP_ASM,
-        FirmwareKind::Polling | FirmwareKind::Optimized => POLLING_TOP_ASM,
+pub fn boot(image: &Program, kind: FirmwareKind, decode_cache_slots: usize) -> BootedRot {
+    let symbol = |name: &str| {
+        image
+            .symbol(name)
+            .unwrap_or_else(|| panic!("firmware symbol `{name}` missing"))
     };
-    let source = format!("{top}\n{CFI_CHECK_POLICY_ASM}");
-    assemble(&source, riscv_isa::Xlen::Rv32, map::SRAM_BASE)
-        .expect("embedded policy firmware must assemble")
+    let profile = match kind {
+        FirmwareKind::Irq | FirmwareKind::Polling => LatencyProfile::baseline(),
+        FirmwareKind::Optimized => LatencyProfile::optimized(),
+    };
+    let mut rot = OpenTitan::new(image, profile);
+    // The boot predecodes into the final-capacity tables.
+    rot.core.resize_caches(decode_cache_slots);
+    let poll_loop = match kind {
+        FirmwareKind::Irq => {
+            let (_, ev) = rot.core.run_until_idle(1_000_000);
+            assert_eq!(ev, Some(IbexEvent::Asleep), "IRQ firmware must park on wfi");
+            0
+        }
+        FirmwareKind::Polling | FirmwareKind::Optimized => {
+            let poll_loop = symbol("poll_loop");
+            // Idle once the poll loop has been entered (first doorbell read
+            // retired).
+            let entered =
+                (0..1_000).any(|_| rot.core.step().expect("boot step").retired.pc == poll_loop);
+            assert!(entered, "polling firmware never reached the poll loop");
+            poll_loop
+        }
+    };
+    BootedRot {
+        rot,
+        cfi_range: (symbol("cfi_begin"), symbol("cfi_end")),
+        poll_loop,
+    }
 }
 
 /// Result of checking one commit log in the RoT.
@@ -572,68 +471,35 @@ impl FirmwareRunner {
     /// Panics if the firmware fails to reach its idle point (a bug).
     #[must_use]
     pub fn new(kind: FirmwareKind) -> FirmwareRunner {
-        FirmwareRunner::from_program(build_firmware(kind), kind)
+        FirmwareRunner::from_image(build_firmware(kind), kind)
     }
 
-    /// Like [`FirmwareRunner::new`], but running the policy-suite firmware
-    /// ([`build_policy_firmware`]): shadow stack, landing pads, and KCFI
-    /// all present and individually enabled via the `policy_enable_*`
-    /// methods (all off after boot).
+    /// Like [`FirmwareRunner::new`], but running the policy-suite firmware:
+    /// shadow stack, landing pads, and KCFI all present and individually
+    /// enabled via the `policy_enable_*` methods (all off after boot).
     ///
     /// # Panics
     ///
     /// Panics if the firmware fails to reach its idle point (a bug).
     #[must_use]
     pub fn new_policy(kind: FirmwareKind) -> FirmwareRunner {
-        FirmwareRunner::from_program(build_policy_firmware(kind), kind)
+        FirmwareRunner::from_image(emit(kind, 1, true), kind)
     }
 
-    fn from_program(program: Program, kind: FirmwareKind) -> FirmwareRunner {
-        let profile = match kind {
-            FirmwareKind::Irq | FirmwareKind::Polling => LatencyProfile::baseline(),
-            FirmwareKind::Optimized => LatencyProfile::optimized(),
-        };
-        let cfi_range = (
-            program.symbol("cfi_begin").expect("cfi_begin symbol"),
-            program.symbol("cfi_end").expect("cfi_end symbol"),
-        );
-        let poll_loop = program.symbol("poll_loop").unwrap_or(0);
-        let symbols = program.symbols.clone();
-        let rot = OpenTitan::new(&program, profile);
-        let mut runner = FirmwareRunner {
+    fn from_image(image: Program, kind: FirmwareKind) -> FirmwareRunner {
+        let BootedRot {
+            rot,
+            cfi_range,
+            poll_loop,
+        } = boot(&image, kind, riscv_isa::DecodeCache::DEFAULT_SLOTS);
+        FirmwareRunner {
             rot,
             kind,
             cfi_range,
             poll_loop,
-            symbols,
+            symbols: image.symbols,
             checks: 0,
             violations: 0,
-        };
-        runner.boot();
-        runner
-    }
-
-    fn boot(&mut self) {
-        match self.kind {
-            FirmwareKind::Irq => {
-                let (_, ev) = self.rot.core.run_until_idle(1_000_000);
-                assert_eq!(
-                    ev,
-                    Some(ibex_model::IbexEvent::Asleep),
-                    "IRQ firmware must park on wfi"
-                );
-            }
-            FirmwareKind::Polling | FirmwareKind::Optimized => {
-                // Run until the poll loop has been entered (first doorbell
-                // read retired).
-                for _ in 0..1_000 {
-                    let c = self.rot.core.step().expect("boot step");
-                    if c.retired.pc == self.poll_loop {
-                        return;
-                    }
-                }
-                panic!("polling firmware never reached the poll loop");
-            }
         }
     }
 
@@ -693,10 +559,10 @@ impl FirmwareRunner {
                         }
                     }
                 }
-                Err(ibex_model::IbexEvent::Asleep) => {
+                Err(IbexEvent::Asleep) => {
                     panic!("firmware went to sleep without completing the check")
                 }
-                Err(ibex_model::IbexEvent::Trapped(t)) => panic!("firmware trapped: {t}"),
+                Err(IbexEvent::Trapped(t)) => panic!("firmware trapped: {t}"),
             }
             assert!(
                 self.rot.core.cycle() < budget,
@@ -777,7 +643,7 @@ impl FirmwareRunner {
     /// Panics unless this runner was built with [`FirmwareRunner::new_policy`].
     pub fn policy_register_landing_pad(&mut self, addr: u64) {
         let table = self.symbol("lp_table");
-        let slot = (addr >> 2) & 1023;
+        let slot = (addr >> 2) % LP_SLOTS;
         self.scratchpad_write(table + slot * 4, addr);
     }
 
@@ -788,7 +654,7 @@ impl FirmwareRunner {
     /// Panics unless this runner was built with [`FirmwareRunner::new_policy`].
     pub fn policy_register_kcfi_site(&mut self, pc: u64, hash: u32) {
         let table = self.symbol("kcfi_sites");
-        let slot = (pc >> 2) & 511;
+        let slot = (pc >> 2) % KCFI_SLOTS;
         self.scratchpad_write(table + slot * 8, pc);
         self.scratchpad_write(table + slot * 8 + 4, u64::from(hash));
     }
@@ -801,7 +667,7 @@ impl FirmwareRunner {
     /// Panics unless this runner was built with [`FirmwareRunner::new_policy`].
     pub fn policy_register_kcfi_fn(&mut self, entry: u64, hash: u32) {
         let table = self.symbol("kcfi_fns");
-        let slot = (entry >> 2) & 511;
+        let slot = (entry >> 2) % KCFI_SLOTS;
         self.scratchpad_write(table + slot * 8, entry);
         self.scratchpad_write(table + slot * 8 + 4, u64::from(hash));
     }
@@ -811,5 +677,167 @@ impl FirmwareRunner {
             .get(name)
             .copied()
             .unwrap_or_else(|| panic!("firmware symbol `{name}` missing"))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// FNV-1a, 64-bit, with the standard offset basis and prime.
+    fn fnv1a64(bytes: &[u8]) -> u64 {
+        bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+        })
+    }
+
+    /// Every image, byte for byte, with the symbols the host side reads.
+    /// For the Table I images the list is every symbol below `cfi_end`:
+    /// the firmware profiler resolves PCs to these names, so they are the
+    /// frames of `--bin trace --collapsed`. Addresses are offsets from the
+    /// scratchpad base. Every cycle pin downstream follows from these.
+    #[test]
+    fn images_and_symbols_are_pinned() {
+        let table1_irq: &[(&str, u64)] = &[
+            ("_start", 0x00),
+            ("main_loop", 0x1c),
+            ("irq_handler", 0x24),
+            ("cfi_begin", 0x88),
+            ("cfi_check", 0x88),
+            ("handle_jal", 0xa8),
+            ("handle_jalr", 0xc4),
+            ("do_call", 0xf8),
+            ("do_ret", 0x12c),
+            ("respond_ok", 0x158),
+            ("respond_violation", 0x160),
+            ("respond", 0x164),
+            ("cfi_end", 0x174),
+        ];
+        let table1_polling: &[(&str, u64)] = &[
+            ("_start", 0x00),
+            ("poll_loop", 0x04),
+            ("cfi_begin", 0x14),
+            ("cfi_check", 0x14),
+            ("handle_jal", 0x34),
+            ("handle_jalr", 0x50),
+            ("do_call", 0x84),
+            ("do_ret", 0xb8),
+            ("respond_ok", 0xe4),
+            ("respond_violation", 0xec),
+            ("respond", 0xf0),
+            ("cfi_end", 0x100),
+        ];
+        let suite_irq: &[(&str, u64)] = &[
+            ("cfi_begin", 0x88),
+            ("cfi_end", 0x278),
+            ("pol_ss_enabled", 0x280),
+            ("pol_lp_enabled", 0x284),
+            ("pol_kcfi_enabled", 0x288),
+            ("lp_table", 0x12a0),
+            ("kcfi_sites", 0x22a0),
+            ("kcfi_fns", 0x32a0),
+        ];
+        let suite_polling: &[(&str, u64)] = &[
+            ("poll_loop", 0x04),
+            ("cfi_begin", 0x14),
+            ("cfi_end", 0x204),
+            ("pol_ss_enabled", 0x210),
+            ("pol_lp_enabled", 0x214),
+            ("pol_kcfi_enabled", 0x218),
+            ("lp_table", 0x1230),
+            ("kcfi_sites", 0x2230),
+            ("kcfi_fns", 0x3230),
+        ];
+        let multicore: &[(&str, u64)] =
+            &[("poll_loop", 0x04), ("cfi_begin", 0x14), ("cfi_end", 0x120)];
+        let images = [
+            (
+                "Table I IRQ",
+                build_firmware(FirmwareKind::Irq),
+                4496,
+                0x316b_0eb7_74a9_6120,
+                table1_irq,
+            ),
+            (
+                "Table I Polling",
+                build_firmware(FirmwareKind::Polling),
+                4368,
+                0x31ed_8daa_935a_4d0f,
+                table1_polling,
+            ),
+            (
+                "Table I Optimized",
+                build_firmware(FirmwareKind::Optimized),
+                4368,
+                0x31ed_8daa_935a_4d0f,
+                table1_polling,
+            ),
+            (
+                "suite IRQ",
+                emit(FirmwareKind::Irq, 1, true),
+                17056,
+                0xf49b_5d32_4e0e_f063,
+                suite_irq,
+            ),
+            (
+                "suite Polling",
+                emit(FirmwareKind::Polling, 1, true),
+                16944,
+                0x2471_b07a_49a9_8c0e,
+                suite_polling,
+            ),
+            (
+                "suite Optimized",
+                emit(FirmwareKind::Optimized, 1, true),
+                16944,
+                0x2471_b07a_49a9_8c0e,
+                suite_polling,
+            ),
+            (
+                "multi-core",
+                build_multicore_firmware(),
+                4416,
+                0xf56a_9342_2bb7_10f7,
+                multicore,
+            ),
+        ];
+        for (name, image, len, hash, symbols) in images {
+            assert_eq!(image.base, map::SRAM_BASE, "{name}");
+            assert_eq!(
+                (image.bytes.len(), fnv1a64(&image.bytes)),
+                (len, hash),
+                "{name}"
+            );
+            for &(symbol, offset) in symbols {
+                assert_eq!(
+                    image.symbol(symbol),
+                    Some(map::SRAM_BASE + offset),
+                    "{name}: {symbol}"
+                );
+            }
+            if name.starts_with("Table I") {
+                let cfi_end = image.symbol("cfi_end").expect("cfi_end");
+                let below = image.symbols.values().filter(|&&a| a < cfi_end).count();
+                assert_eq!(below + 1, symbols.len(), "{name}: symbols below cfi_end");
+            }
+        }
+    }
+
+    /// A polling image that spins before its poll loop fails to boot. The
+    /// runner and the SoC share this boot, so both refuse it.
+    #[test]
+    #[should_panic(expected = "polling firmware never reached the poll loop")]
+    fn polling_firmware_that_never_polls_fails_to_boot() {
+        let spin = assemble(
+            "_start:\n j _start\npoll_loop:\n j poll_loop\ncfi_begin:\ncfi_end:\n",
+            riscv_isa::Xlen::Rv32,
+            map::SRAM_BASE,
+        )
+        .expect("assembles");
+        let _ = boot(
+            &spin,
+            FirmwareKind::Polling,
+            riscv_isa::DecodeCache::DEFAULT_SLOTS,
+        );
     }
 }

@@ -1,7 +1,8 @@
 //! The CVA6 core model: architectural execution + commit-stream generation.
 //!
 //! [`Cva6Core`] couples the architectural [`Hart`] interpreter with the
-//! [`TimingModel`] and emits one [`Commit`] record per retired instruction,
+//! CVA6 timing model (branch predictor and latencies, set by
+//! [`TimingConfig`]) and emits one [`Commit`] record per retired instruction,
 //! tagged with the commit cycle and commit port. This commit stream is what
 //! the TitanCFI CFI filters observe (paper Fig. 1, right half).
 //!

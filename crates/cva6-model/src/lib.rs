@@ -31,4 +31,4 @@ mod core;
 mod timing;
 
 pub use crate::core::{Commit, CoreStats, Cva6Core, Halt};
-pub use crate::timing::{TimingConfig, TimingModel};
+pub use crate::timing::TimingConfig;

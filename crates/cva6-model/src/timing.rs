@@ -54,38 +54,26 @@ impl Default for TimingConfig {
 
 /// Branch predictor + cost model state.
 #[derive(Debug, Clone)]
-pub struct TimingModel {
+pub(crate) struct TimingModel {
     config: TimingConfig,
     ras: Vec<u64>,
-    /// Mispredictions observed (for counters/ablation).
-    pub mispredicts: u64,
-    /// Correct return predictions.
-    pub ras_hits: u64,
 }
 
 impl TimingModel {
     /// A model with the given configuration.
     #[must_use]
-    pub fn new(config: TimingConfig) -> TimingModel {
+    pub(crate) fn new(config: TimingConfig) -> TimingModel {
         TimingModel {
             config,
             ras: Vec::new(),
-            mispredicts: 0,
-            ras_hits: 0,
         }
-    }
-
-    /// The active configuration.
-    #[must_use]
-    pub fn config(&self) -> &TimingConfig {
-        &self.config
     }
 
     /// Cycles charged for one retired instruction.
     ///
     /// `cf_class` is the CFI classification, `taken` whether control
     /// diverged, `target`/`next` the actual and sequential next pcs.
-    pub fn cost(
+    pub(crate) fn cost(
         &mut self,
         inst: &Inst,
         cf_class: CfClass,
@@ -125,16 +113,13 @@ impl TimingModel {
             }
             CfClass::Return => {
                 if self.ras.pop() == Some(target) {
-                    self.ras_hits += 1;
                     cycles += c.taken_bubble;
                 } else {
-                    self.mispredicts += 1;
                     cycles += c.mispredict_penalty;
                 }
             }
             CfClass::IndirectJump => {
                 // No indirect-target predictor modelled: always a flush.
-                self.mispredicts += 1;
                 cycles += c.mispredict_penalty;
             }
             CfClass::DirectJump => cycles += c.taken_bubble,
@@ -151,7 +136,6 @@ impl TimingModel {
                         cycles += c.taken_bubble;
                     }
                 } else {
-                    self.mispredicts += 1;
                     cycles += c.mispredict_penalty;
                 }
             }
@@ -201,15 +185,16 @@ mod tests {
             rs1: Reg::RA,
             offset: 0,
         };
+        let cfg = TimingConfig::default();
         // Call from pc with next=0x104 pushes 0x104.
         m.cost(&call, CfClass::Call, true, 0x104, 0x140);
         let predicted = m.cost(&ret, CfClass::Return, true, 0x144, 0x104);
-        assert_eq!(m.ras_hits, 1);
+        assert_eq!(predicted, 1 + cfg.taken_bubble);
         // Return to a different address: mispredicted.
         m.cost(&call, CfClass::Call, true, 0x104, 0x140);
         let mispredicted = m.cost(&ret, CfClass::Return, true, 0x144, 0xdead);
+        assert_eq!(mispredicted, 1 + cfg.mispredict_penalty);
         assert!(mispredicted > predicted);
-        assert_eq!(m.mispredicts, 1);
     }
 
     #[test]
@@ -238,13 +223,13 @@ mod tests {
             rs2: Reg::ZERO,
             offset: -8,
         };
+        let cfg = TimingConfig::default();
         // Backward branch taken: predicted correctly, cheap.
         let taken = m.cost(&back, CfClass::Branch, true, 0x108, 0x100);
-        assert_eq!(taken, 1 + m.config().taken_bubble);
+        assert_eq!(taken, 1 + cfg.taken_bubble);
         // Backward branch NOT taken: mispredicted.
         let nottaken = m.cost(&back, CfClass::Branch, false, 0x108, 0x108);
-        assert_eq!(nottaken, 1 + m.config().mispredict_penalty);
-        assert_eq!(m.mispredicts, 1);
+        assert_eq!(nottaken, 1 + cfg.mispredict_penalty);
     }
 
     #[test]
@@ -256,7 +241,7 @@ mod tests {
             offset: 0,
         };
         let cost = m.cost(&ij, CfClass::IndirectJump, true, 0x104, 0x900);
-        assert_eq!(cost, 1 + m.config().mispredict_penalty);
+        assert_eq!(cost, 1 + TimingConfig::default().mispredict_penalty);
     }
 
     #[test]

@@ -23,7 +23,7 @@
 //!   confusion) must be flagged by exactly the policies the per-variant
 //!   expected-detection map predicts — the shadow stack, Zicfilp landing
 //!   pads, and KCFI type hashes respectively — in *every* configuration.
-//! * [`shrink`] — on divergence, delta-debugs the program (function-level
+//! * [`shrink`](mod@shrink) — on divergence, delta-debugs the program (function-level
 //!   removal, then instruction-level chunk removal) down to a minimal
 //!   reproducer, re-running the oracle at every step.
 //! * [`repro`] — writes the shrunk case as a self-contained

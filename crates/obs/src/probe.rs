@@ -3,8 +3,8 @@
 //! Components expose `*_probed` method variants taking `&mut dyn Probe`;
 //! the plain variants delegate with [`NoProbe`], whose hooks are all empty
 //! defaults — the compiler sees through the no-op calls and the
-//! uninstrumented hot path costs nothing. An attached [`Recorder`]
-//! (crate::recorder) implements every hook.
+//! uninstrumented hot path costs nothing. An attached
+//! [`Recorder`](crate::recorder::Recorder) implements every hook.
 
 /// Logical timeline a probe event belongs to. Each track renders as one
 /// named thread row in the Perfetto UI, mirroring the paper's Figure 1

@@ -31,7 +31,7 @@ pub struct FirmwareProfiler {
 
 impl FirmwareProfiler {
     /// A profiler resolving PCs against the given symbol table (name →
-    /// address, as [`Program::symbols`] provides it).
+    /// address, as `riscv_asm::Program::symbols` provides it).
     #[must_use]
     pub fn new(symbols: &BTreeMap<String, u64>) -> FirmwareProfiler {
         let mut sorted: Vec<(u64, String)> = symbols

@@ -4,7 +4,7 @@
 //! of [`Hart::step`](crate::exec::Hart::step): the compressed expander plus
 //! the format dispatch dominate the interpreter profile, yet for any given
 //! pc they always produce the same [`Decoded`] value (decode depends only on
-//! the raw bits and the [`Xlen`]). [`DecodeCache`] memoises that work in a
+//! the raw bits and the [`Xlen`](crate::Xlen)). [`DecodeCache`] memoises that work in a
 //! direct-mapped, pc-indexed table of [`Predecoded`] entries: the decoded
 //! instruction, its precomputed control-flow class, and the number of bytes
 //! it can write to memory (used for self-modification tracking).

@@ -5,8 +5,9 @@
 //! [`SystemOnChip`] engine: each core keeps its own CFI filter, both feed
 //! one CFI queue whose entries carry their source core, and the shared Log
 //! Writer streams each log to the mailbox with the core id in data word 7.
-//! The RoT runs the banked multi-core firmware, keeping one shadow stack
-//! per core.
+//! The engine boots the RoT image for its host count, so two cores get the
+//! banked firmware (`titancfi::firmware::build_multicore_firmware`), which
+//! keeps one shadow stack per core.
 //!
 //! The queue's one-push-per-cycle rule is enforced per core (the dual-CF
 //! stall); pushes from the two cores are not serialised against each
@@ -15,7 +16,6 @@
 use crate::sim::{SocConfig, SystemOnChip};
 use cva6_model::Halt;
 use riscv_asm::Program;
-use titancfi::firmware::build_multicore_firmware;
 pub use titancfi::TaggedLog;
 use titancfi_obs::LatencyCollector;
 
@@ -83,7 +83,7 @@ impl DualHostSoc {
 
     fn with_config(programs: [&Program; CORES], config: SocConfig) -> DualHostSoc {
         DualHostSoc {
-            soc: SystemOnChip::with_hosts(&programs, config, &build_multicore_firmware()),
+            soc: SystemOnChip::with_hosts(&programs, config),
         }
     }
 

@@ -30,10 +30,9 @@
 
 use crate::hostbus::HostBus;
 use cva6_model::{Commit, Cva6Core, Halt, TimingConfig};
-use opentitan_model::rot::LatencyProfile;
 use opentitan_model::{OpenTitan, ScmiWireService};
 use riscv_asm::Program;
-use titancfi::firmware::{build_firmware, FirmwareKind};
+use titancfi::firmware::{self, BootedRot, FirmwareKind};
 use titancfi::{
     AxiTiming, Category, CfiFilter, CfiQueue, CommitLog, FailPolicy, LogWriter, Phase,
     QueueController, ResilienceConfig, TaggedLog, Violation, WriterState,
@@ -231,6 +230,17 @@ pub struct SystemOnChip {
     pub(crate) log_tap: Option<(Vec<CommitLog>, Vec<u8>)>,
 }
 
+/// The RoT firmware image a SoC with `hosts` host cores boots under `kind`:
+/// Table I's routine for one host, one shadow-stack bank per core for two.
+/// The banked firmware polls, so it fails the IRQ boot.
+fn firmware_image(kind: FirmwareKind, hosts: usize) -> Program {
+    match hosts {
+        1 => firmware::build_firmware(kind),
+        2 => firmware::build_multicore_firmware(),
+        n => panic!("the RoT firmware serves one or two host cores, not {n}"),
+    }
+}
+
 /// Static counter name for one (phase, category) firmware cycle cell —
 /// the probe-facing mirror of [`titancfi::Breakdown`]'s 2×3 matrix.
 fn fw_counter_name(phase: Phase, category: Category) -> &'static str {
@@ -254,28 +264,26 @@ impl SystemOnChip {
     /// boot.
     #[must_use]
     pub fn new(program: &Program, config: SocConfig) -> SystemOnChip {
-        SystemOnChip::with_hosts(&[program], config, &build_firmware(config.firmware))
+        SystemOnChip::with_hosts(&[program], config)
     }
 
     /// Builds the engine with one host core per program — core `i` runs
     /// `programs[i]` in its own `config.mem_size` bytes of RAM — and boots
-    /// `fw` in the RoT to its idle point. `config.firmware` names the boot
-    /// protocol and latency profile `fw` follows.
+    /// the RoT firmware for `config.firmware` and the host count to its
+    /// idle point ([`firmware_image`]).
     ///
     /// # Panics
     ///
-    /// Panics if a program does not fit host RAM or the firmware fails to
-    /// boot.
-    pub(crate) fn with_hosts(
-        programs: &[&Program],
-        config: SocConfig,
-        fw: &Program,
-    ) -> SystemOnChip {
-        let profile = match config.firmware {
-            FirmwareKind::Optimized => LatencyProfile::optimized(),
-            _ => LatencyProfile::baseline(),
-        };
-        let mut rot = OpenTitan::new(fw, profile);
+    /// Panics unless there are one or two programs, if a program does not
+    /// fit host RAM, or if the firmware fails to boot.
+    pub(crate) fn with_hosts(programs: &[&Program], config: SocConfig) -> SystemOnChip {
+        let fw = firmware_image(config.firmware, programs.len());
+        let BootedRot {
+            mut rot,
+            cfi_range,
+            poll_loop: poll_pc,
+        } = firmware::boot(&fw, config.firmware, config.decode_cache_slots);
+        rot.core.set_predecode(config.fast_path);
         // The general SCMI system mailbox (host-accessible, one channel per
         // host bus): version and remote-attestation services, attesting the
         // booted CFI firmware.
@@ -316,45 +324,15 @@ impl SystemOnChip {
                 }
             })
             .collect();
-        // The firmware boot predecodes into the final-capacity tables.
-        rot.core.resize_caches(config.decode_cache_slots);
-        match config.firmware {
-            FirmwareKind::Irq => {
-                let (_, ev) = rot.core.run_until_idle(1_000_000);
-                assert_eq!(
-                    ev,
-                    Some(ibex_model::IbexEvent::Asleep),
-                    "firmware must park"
-                );
-            }
-            _ => {
-                let poll_loop = fw.symbol("poll_loop").expect("poll_loop symbol");
-                for _ in 0..1000 {
-                    let c = rot.core.step().expect("boot");
-                    if c.retired.pc == poll_loop {
-                        break;
-                    }
-                }
-            }
-        }
-        rot.core.set_predecode(config.fast_path);
-        let cfi_range = (
-            fw.symbol("cfi_begin").expect("cfi_begin symbol"),
-            fw.symbol("cfi_end").expect("cfi_end symbol"),
-        );
-        let poll_pc = match config.firmware {
-            FirmwareKind::Irq => 0,
-            _ => fw.symbol("poll_loop").expect("poll_loop symbol"),
-        };
         let mut writer = LogWriter::with_resilience(config.axi, config.resilience);
         if let Some(faults) = config.faults.filter(FaultConfig::enabled) {
             writer.attach_injector(FaultInjector::new(faults));
         }
         // A single host's transport runs with word-7 integrity on: it costs
         // no cycles (the word rides the final AXI beat) and catches
-        // in-flight corruption before the RoT ever sees it. With several
-        // hosts word 7 carries the source core id instead, which the banked
-        // firmware reads to pick a shadow stack.
+        // in-flight corruption before the RoT ever sees it. With two hosts
+        // word 7 carries the source core id instead, which the banked image
+        // booted above reads to pick a shadow stack.
         if programs.len() == 1 {
             rot.mailbox_mut().enable_integrity();
         }
@@ -434,7 +412,7 @@ impl SystemOnChip {
     /// profiler); subsequent [`SystemOnChip::run`] cycles are instrumented.
     /// Without this call the simulation takes the uninstrumented path.
     pub fn attach_recorder(&mut self) {
-        let fw = build_firmware(self.config.firmware);
+        let fw = firmware_image(self.config.firmware, self.hosts.len());
         let mut recorder = Recorder::new().with_profiler(&fw.symbols);
         recorder
             .metrics

@@ -7,7 +7,7 @@
 //! * **DExIE** (hardware monitor, [Spang et al. 2022]): checks every
 //!   control-flow instruction in lock-step with tiny latency, but its
 //!   enforcement FSMs sit in the core's timing paths and **reduce the
-//!   maximum clock frequency** — the paper notes "the authors of [DExIE]
+//!   maximum clock frequency** — the paper notes "the authors of \[DExIE\]
 //!   report a reduction in the clock frequency of the tested cores". A
 //!   near-constant ~47 % wall-clock overhead across benchmarks is exactly
 //!   the signature of a clock-rate effect, which the model reproduces.
