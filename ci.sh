@@ -107,20 +107,17 @@ cargo run --release -p titancfi-bench --bin throughput -- \
 test -s "$throughput_dir/BENCH_throughput.json" || { echo "throughput smoke: report missing/empty"; exit 1; }
 rm -rf "$throughput_dir"
 
-echo "==> policy-cost smoke (per-policy firmware cycle costs + regression gate)"
-# Gates against the committed BENCH_policy.json and writes the smoke
-# report to a scratch dir, for the same reason as the throughput step.
+echo "==> policy-cost smoke (per-policy firmware cycle costs, byte-identical)"
 # The binary exits nonzero if the benign sequence is flagged under any
-# policy configuration, if the detection self-test misses a smashed jump /
-# type-confused call / hijacked return under the combined policy, or if
-# any {policy, firmware} row's mean check cost grew more than 10% over the
-# committed baseline.
-# Costs are simulated RoT cycles, so the gate is deterministic and
-# machine-portable (a missing or unparseable baseline fails too).
+# policy configuration, or if the detection self-test misses a smashed
+# jump / type-confused call / hijacked return under the combined policy.
+# Its costs are simulated RoT cycles, deterministic and machine-portable,
+# so the smoke report must equal the committed BENCH_policy.json byte for
+# byte: any change in any row's cost fails, up or down.
 policy_dir=$(mktemp -d)
 cargo run --release -p titancfi-bench --bin policy_cost -- \
-    --smoke --out "$policy_dir/BENCH_policy.json" --baseline BENCH_policy.json
-test -s "$policy_dir/BENCH_policy.json" || { echo "policy-cost smoke: report missing/empty"; exit 1; }
+    --smoke --out "$policy_dir/BENCH_policy.json"
+cmp "$policy_dir/BENCH_policy.json" BENCH_policy.json
 rm -rf "$policy_dir"
 
 echo "==> latency smoke (span conservation + detection on every corruption class)"

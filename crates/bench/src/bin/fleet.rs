@@ -38,7 +38,7 @@
 
 use std::process::ExitCode;
 use std::sync::Arc;
-use titancfi_bench::gate::{Baseline, Bound};
+use titancfi_bench::gate::Baseline;
 use titancfi_fleet::{
     call_dense_workload, run_fleet, FleetConfig, FleetReport, SocDevice, SocDeviceConfig,
 };
@@ -411,13 +411,8 @@ fn main() -> ExitCode {
         failures.push(format!("SCALING {failure}"));
     }
     let baseline_ok = baseline.as_ref().is_none_or(|base| {
-        base.check(
-            &rows,
-            &["devices"],
-            "logs_per_sec",
-            Bound::AtLeast(REGRESSED_TOLERANCE),
-        )
-        .passed("fleet")
+        base.check(&rows, &["devices"], "logs_per_sec", REGRESSED_TOLERANCE)
+            .passed("fleet")
     });
 
     let json = Json::obj(vec![

@@ -6,17 +6,16 @@
 //!
 //! ```text
 //! cargo run --release -p titancfi-bench --bin policy_cost -- \
-//!     --smoke --out BENCH_policy.json --baseline BENCH_policy.json
+//!     --smoke --out BENCH_policy.json
 //! ```
 //!
 //! Every configuration replays the same benign commit-log sequence (direct
 //! call, indirect call through an instrumented site, indirect jump to a
 //! landing pad, and the LIFO-balanced returns) on the policy-suite firmware
 //! and records per-class mean cycle costs. The costs are *simulated* RoT
-//! cycles — fully deterministic, machine-portable, and therefore gateable:
-//! `--baseline` compares against a previous report and fails when any
-//! configuration's mean check cost grew by more than 10 %, or when the
-//! baseline is missing or unparseable.
+//! cycles — fully deterministic and machine-portable, so CI compares a
+//! fresh `--smoke` report with the committed `BENCH_policy.json` byte for
+//! byte.
 //!
 //! The run doubles as a detection self-test: after measuring, each firmware
 //! top replays a smashed jump, a type-confused call, and a hijacked return
@@ -25,7 +24,6 @@
 use std::process::ExitCode;
 use titancfi::firmware::{FirmwareKind, FirmwareRunner};
 use titancfi::CommitLog;
-use titancfi_bench::gate::{Baseline, Bound};
 use titancfi_harness::Json;
 
 const USAGE: &str = "\
@@ -33,32 +31,24 @@ usage: policy_cost [options]
 
       --smoke         reduced lap count (CI smoke run)
       --out PATH      write the JSON report to PATH (default: BENCH_policy.json)
-      --baseline P    compare mean check costs against a previous report;
-                      fail on a >10% cost growth, or if P is missing or
-                      unparseable
   -h, --help          this text
 ";
 
 struct Options {
     smoke: bool,
     out: String,
-    baseline: Option<String>,
 }
 
 fn parse_args() -> Result<Options, String> {
     let mut opts = Options {
         smoke: false,
         out: "BENCH_policy.json".to_string(),
-        baseline: None,
     };
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--smoke" => opts.smoke = true,
             "--out" => opts.out = args.next().ok_or("missing value for --out")?,
-            "--baseline" => {
-                opts.baseline = Some(args.next().ok_or("missing value for --baseline")?);
-            }
             "-h" | "--help" => {
                 print!("{USAGE}");
                 std::process::exit(0);
@@ -327,11 +317,6 @@ fn report_json(mode: &str, rows: &[Row]) -> Json {
     ])
 }
 
-/// Cost-growth tolerance for the baseline gate: simulated cycles are
-/// deterministic, so 10 % headroom only absorbs deliberate small firmware
-/// edits — anything beyond it is a real policy-cost regression.
-const GROWTH_TOLERANCE: f64 = 1.10;
-
 fn main() -> ExitCode {
     let opts = match parse_args() {
         Ok(opts) => opts,
@@ -340,16 +325,6 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    // Read the baseline up front: CI passes the same path for --baseline
-    // and --out, so it must be consumed before the report overwrites it.
-    let baseline = match opts.baseline.as_deref().map(Baseline::load).transpose() {
-        Ok(baseline) => baseline,
-        Err(e) => {
-            eprintln!("policy_cost: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-
     let laps: u64 = if opts.smoke { 2 } else { 16 };
     let mode = if opts.smoke { "smoke" } else { "full" };
     println!("per-policy firmware check cost ({mode}, {laps} laps/config, simulated cycles)");
@@ -389,20 +364,5 @@ fn main() -> ExitCode {
         return ExitCode::FAILURE;
     }
     println!("wrote {}", opts.out);
-
-    match baseline {
-        Some(base) => {
-            let rows = json.get("rows").and_then(Json::as_arr).unwrap_or(&[]);
-            let bound = Bound::AtMost(GROWTH_TOLERANCE);
-            if !base
-                .check(rows, &["policy", "firmware"], "cycles_mean", bound)
-                .passed("policy_cost")
-            {
-                return ExitCode::FAILURE;
-            }
-            println!("mean check costs within 10% of baseline");
-        }
-        None => println!("no --baseline given — regression gate not run"),
-    }
     ExitCode::SUCCESS
 }

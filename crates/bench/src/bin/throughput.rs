@@ -20,7 +20,7 @@
 
 use std::process::ExitCode;
 use std::time::Instant;
-use titancfi_bench::gate::{Baseline, Bound};
+use titancfi_bench::gate::Baseline;
 use titancfi_harness::Json;
 use titancfi_soc::{DualHostSoc, SocConfig, SystemOnChip};
 use titancfi_workloads::kernels::{all_kernels, Kernel, KERNEL_MEM};
@@ -383,9 +383,8 @@ fn main() -> ExitCode {
             // only machine-portable number in the report: absolute
             // cycles/sec are not comparable across hosts.
             let rows = json.get("rows").and_then(Json::as_arr).unwrap_or(&[]);
-            let bound = Bound::AtLeast(REGRESSED_TOLERANCE);
             if !base
-                .check(rows, &["scenario"], "speedup", bound)
+                .check(rows, &["scenario"], "speedup", REGRESSED_TOLERANCE)
                 .passed("throughput")
             {
                 return ExitCode::FAILURE;

@@ -4,7 +4,8 @@
 //! object per measured configuration. Its `--baseline P` flag compares a
 //! new run against a committed report: [`Baseline::load`] reads `P`, and
 //! [`Baseline::check`] matches each new row to the baseline row with the
-//! same key fields and applies the tool's tolerance to one metric.
+//! same key fields and holds one higher-is-better metric to the tool's
+//! floor.
 //!
 //! A binary may write its report before it gates it, so CI points `--out` at
 //! a scratch path and `--baseline` at the committed file: were they the
@@ -13,15 +14,6 @@
 //! unparseable fails the gate: it would otherwise pass silently.
 
 use titancfi_harness::Json;
-
-/// Which way a gated metric may move against its baseline value.
-#[derive(Debug, Clone, Copy)]
-pub enum Bound {
-    /// Higher is better: a row fails below `factor ×` its baseline value.
-    AtLeast(f64),
-    /// Lower is better: a row fails above `factor ×` its baseline value.
-    AtMost(f64),
-}
 
 /// What one gate run found.
 #[derive(Debug, Default)]
@@ -77,10 +69,11 @@ impl Baseline {
     }
 
     /// Gates `metric` of each new row against the baseline row whose `key`
-    /// fields are equal. A row the baseline lacks is a warning; a run that
-    /// matches no baseline row at all fails, since it checked nothing.
+    /// fields are equal: a row fails below `floor ×` its baseline value. A
+    /// row the baseline lacks is a warning; a run that matches no baseline
+    /// row at all fails, since it checked nothing.
     #[must_use]
-    pub fn check(&self, rows: &[Json], key: &[&str], metric: &str, bound: Bound) -> Verdict {
+    pub fn check(&self, rows: &[Json], key: &[&str], metric: &str, floor: f64) -> Verdict {
         let mut verdict = Verdict::default();
         let mut matched = 0;
         for row in rows {
@@ -106,14 +99,10 @@ impl Baseline {
                 continue;
             };
             matched += 1;
-            let (beyond, sign, factor) = match bound {
-                Bound::AtLeast(f) => (value < f * base, '<', f),
-                Bound::AtMost(f) => (value > f * base, '>', f),
-            };
-            if beyond {
+            if value < floor * base {
                 verdict.failures.push(format!(
-                    "{name}: {metric} {value:.2} {sign} {:.0}% of baseline {base:.2}",
-                    factor * 100.0
+                    "{name}: {metric} {value:.2} < {:.0}% of baseline {base:.2}",
+                    floor * 100.0
                 ));
             }
         }
@@ -180,12 +169,7 @@ mod tests {
             &Json::obj(vec![("rows", Json::Arr(vec![row("a", 3.0)]))]).encode(),
         );
         let base = Baseline::load(path.to_str().unwrap()).expect("valid baseline");
-        let verdict = base.check(
-            &[row("a", 3.0)],
-            &["scenario"],
-            "speedup",
-            Bound::AtLeast(0.8),
-        );
+        let verdict = base.check(&[row("a", 3.0)], &["scenario"], "speedup", 0.8);
         assert!(verdict.failures.is_empty() && verdict.warnings.is_empty());
         let _ = std::fs::remove_file(&path);
     }
@@ -197,32 +181,28 @@ mod tests {
             &[row("a", 2.5), row("b", 2.3)],
             &["scenario"],
             "speedup",
-            Bound::AtLeast(0.8),
+            0.8,
         );
         assert_eq!(verdict.failures.len(), 1, "{:?}", verdict.failures);
         assert!(verdict.failures[0].starts_with("b: speedup 2.30 < 80%"));
 
-        // Lower-is-better metrics fail on growth, and multi-field keys
-        // must match on every field.
-        let cost = |policy: &str, firmware: &str, mean: f64| {
+        // Multi-field keys must match on every field.
+        let keyed = |devices: f64, shards: f64, logs: f64| {
             Json::obj(vec![
-                ("policy", Json::Str(policy.to_string())),
-                ("firmware", Json::Str(firmware.to_string())),
-                ("cycles_mean", Json::Num(mean)),
+                ("devices", Json::Num(devices)),
+                ("shards", Json::Num(shards)),
+                ("logs_per_sec", Json::Num(logs)),
             ])
         };
-        let base = baseline(vec![
-            cost("none", "IRQ", 100.0),
-            cost("none", "Polling", 10.0),
-        ]);
+        let base = baseline(vec![keyed(16.0, 2.0, 100.0), keyed(16.0, 3.0, 10.0)]);
         let verdict = base.check(
-            &[cost("none", "IRQ", 105.0), cost("none", "Polling", 12.0)],
-            &["policy", "firmware"],
-            "cycles_mean",
-            Bound::AtMost(1.10),
+            &[keyed(16.0, 2.0, 95.0), keyed(16.0, 3.0, 7.0)],
+            &["devices", "shards"],
+            "logs_per_sec",
+            0.8,
         );
         assert_eq!(verdict.failures.len(), 1, "{:?}", verdict.failures);
-        assert!(verdict.failures[0].starts_with("none/Polling: cycles_mean 12.00 > 110%"));
+        assert!(verdict.failures[0].starts_with("16/3: logs_per_sec 7.00 < 80%"));
     }
 
     #[test]
@@ -232,7 +212,7 @@ mod tests {
             &[row("a", 3.0), row("new", 1.0)],
             &["scenario"],
             "speedup",
-            Bound::AtLeast(0.8),
+            0.8,
         );
         assert!(verdict.failures.is_empty(), "{:?}", verdict.failures);
         assert_eq!(
@@ -244,12 +224,7 @@ mod tests {
     #[test]
     fn zero_matches_fail() {
         let base = baseline(vec![row("old", 3.0)]);
-        let verdict = base.check(
-            &[row("renamed", 3.0)],
-            &["scenario"],
-            "speedup",
-            Bound::AtLeast(0.8),
-        );
+        let verdict = base.check(&[row("renamed", 3.0)], &["scenario"], "speedup", 0.8);
         assert_eq!(verdict.warnings.len(), 1);
         assert_eq!(verdict.failures.len(), 1);
         assert!(verdict.failures[0].contains("matched zero rows"));
@@ -262,12 +237,7 @@ mod tests {
             ])
         };
         let base = baseline(vec![devices(8.0, 1000.0)]);
-        let verdict = base.check(
-            &[devices(32.0, 1000.0)],
-            &["devices"],
-            "logs_per_sec",
-            Bound::AtLeast(0.8),
-        );
+        let verdict = base.check(&[devices(32.0, 1000.0)], &["devices"], "logs_per_sec", 0.8);
         assert_eq!(
             verdict.warnings,
             vec!["32 missing from baseline — not gated".to_string()]

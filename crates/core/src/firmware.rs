@@ -387,17 +387,18 @@ pub struct BootedRot {
     pub poll_loop: u64,
 }
 
-/// Loads `image` into a RoT on `kind`'s latency profile, sizes its decode
-/// cache to `decode_cache_slots`, and boots it to its idle point: asleep on
-/// `wfi` for [`FirmwareKind::Irq`], else the first retirement at
-/// `poll_loop`.
+/// Loads `image` into a RoT on `kind`'s latency profile and boots it to
+/// its idle point: asleep on `wfi` for [`FirmwareKind::Irq`], else the
+/// first retirement at `poll_loop`. The RoT's decode cache holds one slot
+/// per halfword of the code, `[image.base, cfi_end)`: conflict-free under
+/// its `(pc >> 1) & mask` index.
 ///
 /// # Panics
 ///
 /// Panics if the image lacks `cfi_begin`, `cfi_end` or (polling kinds)
 /// `poll_loop`, or if the firmware traps or fails to reach its idle point.
 #[must_use]
-pub fn boot(image: &Program, kind: FirmwareKind, decode_cache_slots: usize) -> BootedRot {
+pub fn boot(image: &Program, kind: FirmwareKind) -> BootedRot {
     let symbol = |name: &str| {
         image
             .symbol(name)
@@ -407,9 +408,9 @@ pub fn boot(image: &Program, kind: FirmwareKind, decode_cache_slots: usize) -> B
         FirmwareKind::Irq | FirmwareKind::Polling => LatencyProfile::baseline(),
         FirmwareKind::Optimized => LatencyProfile::optimized(),
     };
-    let mut rot = OpenTitan::new(image, profile);
-    // The boot predecodes into the final-capacity tables.
-    rot.core.resize_caches(decode_cache_slots);
+    let cfi_range = (symbol("cfi_begin"), symbol("cfi_end"));
+    let code_halfwords = (cfi_range.1 - image.base) / 2;
+    let mut rot = OpenTitan::new(image, profile, code_halfwords as usize);
     let poll_loop = match kind {
         FirmwareKind::Irq => {
             let (_, ev) = rot.core.run_until_idle(1_000_000);
@@ -428,7 +429,7 @@ pub fn boot(image: &Program, kind: FirmwareKind, decode_cache_slots: usize) -> B
     };
     BootedRot {
         rot,
-        cfi_range: (symbol("cfi_begin"), symbol("cfi_end")),
+        cfi_range,
         poll_loop,
     }
 }
@@ -491,7 +492,7 @@ impl FirmwareRunner {
             rot,
             cfi_range,
             poll_loop,
-        } = boot(&image, kind, riscv_isa::DecodeCache::DEFAULT_SLOTS);
+        } = boot(&image, kind);
         FirmwareRunner {
             rot,
             kind,
@@ -834,10 +835,6 @@ mod tests {
             map::SRAM_BASE,
         )
         .expect("assembles");
-        let _ = boot(
-            &spin,
-            FirmwareKind::Polling,
-            riscv_isa::DecodeCache::DEFAULT_SLOTS,
-        );
+        let _ = boot(&spin, FirmwareKind::Polling);
     }
 }

@@ -606,7 +606,6 @@ impl LogWriter {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ibex_model::Device as _;
     use titancfi_faults::FaultConfig;
 
     fn log(pc: u64) -> CommitLog {

@@ -185,3 +185,49 @@ fn indirect_jump_passes_without_shadow_stack_effect() {
         assert!(!fw.check(&ret_log()).violation, "{}", kind.name());
     }
 }
+
+/// Provisioning the policy tables between checks writes the RoT scratchpad
+/// from the host side. No instruction makes that write, so no retirement
+/// may pay for it: the check latencies must equal those of the same checks
+/// with all provisioning up front, with the decode cache on or off.
+#[test]
+fn provisioning_between_checks_costs_no_rot_cycles() {
+    let nested_call = CommitLog {
+        pc: 0x8000_0100,
+        insn: 0x1000_00ef,
+        next: 0x8000_0104,
+        target: 0x8000_0200,
+    };
+    let nested_ret = CommitLog {
+        pc: 0x8000_0204,
+        insn: 0x0000_8067,
+        next: 0x8000_0208,
+        target: 0x8000_0104,
+    };
+    let checks = [call_log(), nested_call, nested_ret, ret_log()];
+    let pad = |i: u64| 0x8000_1000 + 4 * i;
+    for kind in FirmwareKind::ALL {
+        let latencies = |predecode: bool, interleaved: bool| {
+            let mut fw = FirmwareRunner::new_policy(kind);
+            fw.set_predecode(predecode);
+            fw.policy_enable_shadow_stack();
+            if !interleaved {
+                (0..checks.len() as u64).for_each(|i| fw.policy_register_landing_pad(pad(i)));
+            }
+            let mut out = Vec::new();
+            for (i, log) in checks.iter().enumerate() {
+                if interleaved {
+                    fw.policy_register_landing_pad(pad(i as u64));
+                }
+                let m = fw.check(log);
+                assert!(!m.violation, "{}: check {i}", kind.name());
+                out.push(m.latency);
+            }
+            out
+        };
+        let reference = latencies(true, false);
+        assert_eq!(latencies(true, true), reference, "{}", kind.name());
+        assert_eq!(latencies(false, true), reference, "{}", kind.name());
+        assert_eq!(latencies(false, false), reference, "{}", kind.name());
+    }
+}

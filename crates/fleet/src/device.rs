@@ -135,8 +135,8 @@ impl SocDeviceConfig {
             fast_path: true,
             block_compile: true,
             // Fleet workloads are a few hundred instructions, not kernels;
-            // the default caches (8192 decode slots per core, 4096 block
-            // slots per host core) would dominate per-device memory at 1024-device scale and
+            // the host core's default caches (8192 decode slots, 4096 block
+            // slots) would dominate per-device memory at 1024-device scale and
             // turn the sweep into a page-fault benchmark. Right-size them —
             // architecturally invisible, entries re-predecode on demand.
             decode_cache_slots: 1024,

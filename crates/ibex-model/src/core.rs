@@ -10,7 +10,7 @@
 //!   (45 cycles measured by the paper's RTL simulation),
 //! * taken branches/jumps cost an extra fetch bubble, divides are iterative.
 
-use crate::bus::{RegionKind, SystemBus};
+use crate::bus::{IbexBus, RegionKind};
 use riscv_isa::{
     classify, predecode, CfClass, DecodeCache, DecodeCacheStats, Hart, Inst, MulOp, Retired, Trap,
     Xlen,
@@ -73,13 +73,14 @@ pub enum IbexEvent {
     Trapped(Trap),
 }
 
-/// The Ibex core over a [`SystemBus`].
+/// The Ibex core over a bus `B` that prices every data access
+/// ([`IbexBus`]).
 #[derive(Debug)]
-pub struct IbexCore {
+pub struct IbexCore<B> {
     /// Architectural hart (public for firmware runners to inspect).
     pub hart: Hart,
-    /// The system bus (public so embedders can reach devices).
-    pub bus: SystemBus,
+    /// The bus (public so embedders reach the devices it holds).
+    pub bus: B,
     timing: IbexTiming,
     cycle: u64,
     state: IbexState,
@@ -90,10 +91,11 @@ pub struct IbexCore {
     predecode: bool,
 }
 
-impl IbexCore {
-    /// A core starting at `entry` over `bus`.
+impl<B: IbexBus> IbexCore<B> {
+    /// A core starting at `entry` over `bus`, with a decode cache of
+    /// `decode_slots` slots (rounded up to a power of two, min 16).
     #[must_use]
-    pub fn new(bus: SystemBus, entry: u64, timing: IbexTiming) -> IbexCore {
+    pub fn new(bus: B, entry: u64, timing: IbexTiming, decode_slots: usize) -> IbexCore<B> {
         IbexCore {
             hart: Hart::new(Xlen::Rv32, entry),
             bus,
@@ -101,7 +103,7 @@ impl IbexCore {
             cycle: 0,
             state: IbexState::Running,
             irqs_taken: 0,
-            decode_cache: DecodeCache::default(),
+            decode_cache: DecodeCache::new(decode_slots),
             predecode: predecode::fast_path_default(),
         }
     }
@@ -112,15 +114,6 @@ impl IbexCore {
     pub fn set_predecode(&mut self, enabled: bool) {
         self.predecode = enabled;
         self.decode_cache.invalidate_all();
-    }
-
-    /// Resizes the decode cache (rounded up to a power of two, min 16; a
-    /// cache already of that size is kept). The default covers
-    /// kernel-sized firmware; embedders simulating many RoTs at once
-    /// right-size down to the firmware actually booted. Architecturally
-    /// invisible — entries re-predecode on demand.
-    pub fn resize_caches(&mut self, decode_slots: usize) {
-        self.decode_cache.resize(decode_slots);
     }
 
     /// Whether the predecode fast path is active.
@@ -204,20 +197,14 @@ impl IbexCore {
                 .step(&mut self.bus)
                 .map(|r| (r, classify(&r.decoded.inst)))
         };
-        let (retired, cf_class) = match step_result {
-            Ok(rc) => rc,
-            Err(trap) => {
-                // A trapped instruction charges nothing; drop any partial
-                // access record so it cannot leak into a later retirement.
-                self.bus.take_access();
-                return Err(IbexEvent::Trapped(trap));
-            }
-        };
-        let access = self.bus.take_access();
+        let (retired, cf_class) = step_result.map_err(IbexEvent::Trapped)?;
+        // A data access pays its region's latency; nothing else does.
         let mut cost = 1;
-        if let Some(info) = access {
-            cost += info.cycles;
-        }
+        let mem_kind = retired.mem_addr.map(|addr| {
+            let (kind, cycles) = self.bus.region(addr);
+            cost += cycles;
+            kind
+        });
         if let Inst::Mul { op, .. } = retired.decoded.inst {
             if matches!(op, MulOp::Div | MulOp::Divu | MulOp::Rem | MulOp::Remu) {
                 cost += self.timing.div_extra;
@@ -236,7 +223,7 @@ impl IbexCore {
             cycle: self.cycle,
             retired,
             cost,
-            mem_kind: access.map(|a| a.kind),
+            mem_kind,
             cf_class,
         })
     }
@@ -287,27 +274,49 @@ impl IbexCore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bus::{RegionKind, RegionLatency};
     use riscv_asm::assemble;
-    use riscv_isa::{csr, Reg};
+    use riscv_isa::{csr, Bus, FlatMemory, MemFault, MemWidth, Reg};
 
-    fn system(src: &str) -> IbexCore {
+    /// Two RAM windows: a 5-cycle RoT-private one at 0x10000 and a
+    /// 12-cycle SoC one at 0x8000_0000.
+    #[derive(Debug)]
+    struct TestBus {
+        rot: FlatMemory,
+        soc: FlatMemory,
+    }
+
+    impl Bus for TestBus {
+        fn read(&mut self, addr: u64, width: MemWidth) -> Result<u64, MemFault> {
+            self.rot
+                .read(addr, width)
+                .or_else(|_| self.soc.read(addr, width))
+        }
+
+        fn write(&mut self, addr: u64, width: MemWidth, value: u64) -> Result<(), MemFault> {
+            self.rot
+                .write(addr, width, value)
+                .or_else(|_| self.soc.write(addr, width, value))
+        }
+    }
+
+    impl IbexBus for TestBus {
+        fn region(&self, addr: u64) -> (RegionKind, u64) {
+            if addr >= self.soc.base() {
+                (RegionKind::Soc, 12)
+            } else {
+                (RegionKind::RotPrivate, 5)
+            }
+        }
+    }
+
+    fn system(src: &str) -> IbexCore<TestBus> {
         let prog = assemble(src, Xlen::Rv32, 0x10000).expect("assembles");
-        let mut bus = SystemBus::new();
-        bus.add_ram(
-            0x10000,
-            0x10000,
-            RegionKind::RotPrivate,
-            RegionLatency::symmetric(5),
-        );
-        bus.add_ram(
-            0x8000_0000,
-            0x10000,
-            RegionKind::Soc,
-            RegionLatency::symmetric(12),
-        );
-        bus.load(prog.base, &prog.bytes);
-        let mut core = IbexCore::new(bus, prog.entry, IbexTiming::default());
+        let mut bus = TestBus {
+            rot: FlatMemory::new(0x10000, 0x10000),
+            soc: FlatMemory::new(0x8000_0000, 0x10000),
+        };
+        bus.rot.load(prog.base, &prog.bytes);
+        let mut core = IbexCore::new(bus, prog.entry, IbexTiming::default(), 64);
         core.hart.set_reg(Reg::SP, 0x1fff0);
         core
     }

@@ -4,20 +4,22 @@
 //! already on the SoC* (paper §I). This crate models the pieces of OpenTitan
 //! the paper relies on:
 //!
-//! * the Ibex security microcontroller (via `ibex-model`) behind the RoT
-//!   memory map ([`rot::map`]),
-//! * the private 128 KB scratchpad (tamper-proof shadow-stack storage),
+//! * the Ibex security microcontroller (via `ibex-model`) on the RoT bus
+//!   ([`rot::RotBus`]): the private 128 KB scratchpad (tamper-proof
+//!   shadow-stack storage), and across the SoC fabric the SCMI-style CFI
+//!   [`mailbox`] and the [`plic`] interrupt path that deliver commit logs
+//!   from the host domain,
 //! * the [`hmac`] accelerator (HMAC-SHA-256, built on a from-scratch
 //!   [`sha256`]) used to authenticate CFI metadata spilled to SoC memory,
-//! * the scrambled, ECC-protected embedded [`flash`] (key storage),
-//! * the SCMI-style CFI [`mailbox`] and the [`plic`] interrupt path that
-//!   deliver commit logs from the host domain,
+//! * the scrambled, ECC-protected embedded [`flash`] (key storage) and the
+//!   [`secure_boot`] and [`attestation`] flows built on it,
 //! * the register-level SCMI system channel ([`scmi_wire`]) that serves
 //!   version and remote-attestation requests.
 //!
-//! [`OpenTitan::new`] composes all of it around an assembled firmware image;
-//! [`LatencyProfile`] selects between the paper's baseline and "Optimized"
-//! interconnects.
+//! [`OpenTitan::new`] boots the Ibex core on the RoT bus around an
+//! assembled firmware image; the HMAC, flash, boot and attestation models
+//! stand on their own. [`LatencyProfile`] selects between the paper's
+//! baseline and "Optimized" interconnects.
 
 pub mod attestation;
 pub mod flash;

@@ -8,12 +8,12 @@
 //! the CVA6 commit stage rather than to the host interrupt controller. The
 //! CFI check verdict is returned in data word 0.
 //!
-//! The mailbox is one register block with one owner: the RoT maps it as a
-//! [`Device`] on the Ibex bus (reached through
-//! [`crate::OpenTitan::mailbox`]), and the host-side Log Writer drives it
-//! through the `host_*` methods (modelling its AXI master port).
+//! The mailbox is one register block with one owner, a field of the RoT
+//! bus ([`crate::rot::RotBus`], reached through
+//! [`crate::OpenTitan::mailbox`]). The firmware reaches it over that bus
+//! ([`CfiMailbox::read`], [`CfiMailbox::write`]); the host-side Log Writer
+//! drives it through the `host_*` methods (modelling its AXI master port).
 
-use ibex_model::Device;
 use riscv_isa::MemWidth;
 use titancfi_obs::{Probe, Track};
 
@@ -255,11 +255,12 @@ impl CfiMailbox {
             _ => 0,
         }
     }
-}
 
-/// The RoT side of the mailbox.
-impl Device for CfiMailbox {
-    fn read(&mut self, offset: u64, width: MemWidth) -> u64 {
+    // ---- the RoT side, over the bus ----
+
+    /// Reads `width` bytes of the register file at `offset`.
+    #[must_use]
+    pub fn read(&self, offset: u64, width: MemWidth) -> u64 {
         let mut value = 0u64;
         for i in 0..width.bytes() {
             value |= u64::from(self.byte_at(offset + i)) << (8 * i);
@@ -267,7 +268,8 @@ impl Device for CfiMailbox {
         value
     }
 
-    fn write(&mut self, offset: u64, width: MemWidth, value: u64) {
+    /// Writes the low `width` bytes of `value` at `offset`, byte by byte.
+    pub fn write(&mut self, offset: u64, width: MemWidth, value: u64) {
         for i in 0..width.bytes() {
             let addr = offset + i;
             let byte = (value >> (8 * i)) as u8;

@@ -7,7 +7,6 @@
 //! exactly the "Mem. SoC 2" row of the paper's Table I IRQ section, so the
 //! model keeps the same protocol.
 
-use ibex_model::Device;
 use riscv_isa::MemWidth;
 
 /// Register offsets.
@@ -53,11 +52,11 @@ impl Plic {
     pub fn irq_line(&self) -> bool {
         self.pending & !self.in_service != 0
     }
-}
 
-/// The RoT side of the controller.
-impl Device for Plic {
-    fn read(&mut self, offset: u64, _width: MemWidth) -> u64 {
+    // ---- the RoT side, over the bus ----
+
+    /// Reads the register at `offset`; reading `CLAIM_COMPLETE` claims.
+    pub(crate) fn read(&mut self, offset: u64, _width: MemWidth) -> u64 {
         match offset {
             regs::PENDING => u64::from(self.pending),
             regs::CLAIM_COMPLETE => {
@@ -74,7 +73,8 @@ impl Device for Plic {
         }
     }
 
-    fn write(&mut self, offset: u64, _width: MemWidth, value: u64) {
+    /// Writes the register at `offset`; writing `CLAIM_COMPLETE` completes.
+    pub(crate) fn write(&mut self, offset: u64, _width: MemWidth, value: u64) {
         if offset == regs::CLAIM_COMPLETE {
             self.in_service &= !(1u32 << (value as u32 & 31));
         }

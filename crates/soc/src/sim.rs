@@ -84,11 +84,12 @@ pub struct SocConfig {
     /// block-compiled stepping mode. Defaults to the process-wide
     /// [`riscv_isa::predecode::fast_path_default`].
     pub block_compile: bool,
-    /// Decode-cache capacity (slots, rounded up to a power of two) applied
-    /// to every core. The default covers kernel-sized firmware; fleet
+    /// Decode-cache capacity (slots, rounded up to a power of two) of
+    /// every host core. The default covers kernel-sized programs; fleet
     /// embedders simulating hundreds of SoCs right-size this down to the
     /// program actually run — the caches dominate per-instance memory and
-    /// are architecturally invisible.
+    /// are architecturally invisible. The RoT sizes its own decode cache to
+    /// the firmware it boots ([`firmware::boot`]).
     pub decode_cache_slots: usize,
     /// Superblock-cache capacity (slots) applied to every host core; the
     /// RoT steps one instruction at a time and has no block cache. See
@@ -282,7 +283,7 @@ impl SystemOnChip {
             mut rot,
             cfi_range,
             poll_loop: poll_pc,
-        } = firmware::boot(&fw, config.firmware, config.decode_cache_slots);
+        } = firmware::boot(&fw, config.firmware);
         rot.core.set_predecode(config.fast_path);
         // The general SCMI system mailbox (host-accessible, one channel per
         // host bus): version and remote-attestation services, attesting the

@@ -11,7 +11,8 @@
 //! never share a process with other simulator tests.
 
 use cva6_model::{Cva6Core, Halt, TimingConfig};
-use ibex_model::{IbexCore, IbexTiming, RegionKind, RegionLatency, SystemBus};
+use opentitan_model::rot::{map, LatencyProfile};
+use opentitan_model::OpenTitan;
 use riscv_asm::assemble;
 use riscv_isa::predecode::set_mutate_skip_store_invalidation;
 use riscv_isa::{Reg, Xlen};
@@ -42,16 +43,8 @@ fn cva6_a0(predecode: bool) -> u64 {
 }
 
 fn ibex_a0(predecode: bool) -> u64 {
-    let prog = assemble(SELF_MODIFYING, Xlen::Rv32, 0x1_0000).expect("assembles");
-    let mut bus = SystemBus::new();
-    bus.add_ram(
-        0x1_0000,
-        0x1_0000,
-        RegionKind::RotPrivate,
-        RegionLatency::symmetric(1),
-    );
-    bus.load(prog.base, &prog.bytes);
-    let mut core = IbexCore::new(bus, prog.entry, IbexTiming::default());
+    let prog = assemble(SELF_MODIFYING, Xlen::Rv32, map::SRAM_BASE).expect("assembles");
+    let mut core = OpenTitan::new(&prog, LatencyProfile::optimized(), prog.bytes.len() / 2).core;
     core.set_predecode(predecode);
     let (_, event) = core.run_until_idle(100_000);
     assert!(matches!(event, Some(ibex_model::IbexEvent::Trapped(_))));

@@ -11,11 +11,12 @@
 //! the global-default flip that test performs (tests share one process).
 
 use cva6_model::{Cva6Core, Halt, TimingConfig};
-use ibex_model::{IbexCore, IbexTiming, RegionKind, RegionLatency, SystemBus};
+use ibex_model::IbexCore;
 use opentitan_model::hmac::HmacEngine;
+use opentitan_model::rot::{map, LatencyProfile, RotBus};
 use opentitan_model::secure_boot::{boot, provision, IMAGE_BASE_WORD};
-use opentitan_model::Flash;
-use riscv_asm::assemble;
+use opentitan_model::{Flash, OpenTitan};
+use riscv_asm::{assemble, Program};
 use riscv_isa::{Reg, Xlen};
 use titancfi_soc::{DualHostSoc, SocConfig, SystemOnChip};
 use titancfi_workloads::kernels::{all_kernels, KERNEL_MEM};
@@ -66,17 +67,14 @@ fn cva6_store_to_cached_instruction_invalidates() {
     assert_eq!(runs[0], runs[1], "fast path must be cycle-invisible");
 }
 
-fn ibex_system(src: &str) -> IbexCore {
-    let prog = assemble(src, Xlen::Rv32, 0x1_0000).expect("assembles");
-    let mut bus = SystemBus::new();
-    bus.add_ram(
-        0x1_0000,
-        0x1_0000,
-        RegionKind::RotPrivate,
-        RegionLatency::symmetric(1),
-    );
-    bus.load(prog.base, &prog.bytes);
-    IbexCore::new(bus, prog.entry, IbexTiming::default())
+/// An Ibex core running `prog` from the RoT scratchpad (1-cycle on the
+/// optimized profile), one decode-cache slot per halfword of the image.
+fn ibex_core(prog: &Program) -> IbexCore<RotBus> {
+    OpenTitan::new(prog, LatencyProfile::optimized(), prog.bytes.len() / 2).core
+}
+
+fn ibex_system(src: &str) -> IbexCore<RotBus> {
+    ibex_core(&assemble(src, Xlen::Rv32, map::SRAM_BASE).expect("assembles"))
 }
 
 #[test]
@@ -264,7 +262,7 @@ loop:
     bnez a1, loop
     ebreak
 ";
-    let prog = assemble(src, Xlen::Rv32, 0x1_0000).expect("assembles");
+    let prog = assemble(src, Xlen::Rv32, map::SRAM_BASE).expect("assembles");
 
     let mut flash = Flash::new(512, 0x5eed_0123_4567_89ab);
     let engine = HmacEngine::new(b"decode-cache-test-key");
@@ -279,17 +277,13 @@ loop:
     assert_eq!(image, prog.bytes, "boot must descramble back to plaintext");
     assert!(report.words_read > 0);
 
+    let booted = Program {
+        bytes: image,
+        ..prog
+    };
     let mut runs = Vec::new();
     for predecode in [false, true] {
-        let mut bus = SystemBus::new();
-        bus.add_ram(
-            0x1_0000,
-            0x1_0000,
-            RegionKind::RotPrivate,
-            RegionLatency::symmetric(1),
-        );
-        bus.load(prog.base, &image);
-        let mut core = IbexCore::new(bus, prog.entry, IbexTiming::default());
+        let mut core = ibex_core(&booted);
         core.set_predecode(predecode);
         let (burst, event) = core.run_until_idle(100_000);
         assert!(matches!(event, Some(ibex_model::IbexEvent::Trapped(_))));
