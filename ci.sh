@@ -21,6 +21,13 @@ cargo build --workspace --release
 echo "==> cargo test"
 cargo test --workspace -q
 
+echo "==> examples (each asserts its own result)"
+# Nothing else runs the examples, so run every one and fail on a nonzero
+# exit: a panic or a failed assert inside it.
+for example in examples/*.rs; do
+    cargo run --release -p titancfi-soc --example "$(basename "$example" .rs)" > /dev/null
+done
+
 echo "==> benchmark check (separate workspace: build, unit tests, quick run)"
 # The benchmark is its own package, which `cargo test --workspace` never
 # builds; this catches a change that breaks an API it calls.

@@ -76,7 +76,6 @@ fn random_retired(rng: &mut Xoshiro256, pc: u64) -> Retired {
         } else {
             next
         },
-        memory_access: false,
         mem_addr: None,
         wfi: false,
     }

@@ -13,8 +13,8 @@
 use crate::timing::{TimingConfig, TimingModel};
 use riscv_asm::Program;
 use riscv_isa::{
-    classify, decode, predecode, BlockCache, BlockCacheStats, Bus, CfClass, DecodeCache,
-    DecodeCacheStats, FlatMemory, Hart, Retired, Trap, Xlen,
+    classify, decode, BlockCache, BlockCacheStats, Bus, CfClass, DecodeCache, DecodeCacheStats,
+    FlatMemory, Hart, Retired, Trap, Xlen,
 };
 
 /// One instruction leaving the commit stage.
@@ -88,8 +88,8 @@ pub struct Cva6Core<B: Bus = FlatMemory> {
 
 /// Result of dispatching one translated superblock via
 /// [`Cva6Core::step_block`]. All but the final instruction are plain
-/// straight-line commits (non-CFI-relevant, no I/O touch, below the cycle
-/// bound) — exactly the commits strict stepping would have fed to
+/// straight-line commits (non-CFI-relevant, below the cycle bound) —
+/// exactly the commits strict stepping would have fed to
 /// `CfiFilter::note_straightline`. The final commit (or halt) is returned
 /// for the embedder to apply its usual per-commit logic to.
 #[derive(Debug, Clone, Copy)]
@@ -131,7 +131,7 @@ impl Cva6Core<FlatMemory> {
             commit_slack: 0,
             last_commit_cycle: 0,
             decode_cache: DecodeCache::default(),
-            predecode: predecode::fast_path_default(),
+            predecode: true,
             block_cache: BlockCache::default(),
         }
     }
@@ -152,7 +152,7 @@ impl<B: Bus> Cva6Core<B> {
             commit_slack: 0,
             last_commit_cycle: 0,
             decode_cache: DecodeCache::default(),
-            predecode: predecode::fast_path_default(),
+            predecode: true,
             block_cache: BlockCache::default(),
         }
     }
@@ -369,11 +369,11 @@ impl<B: Bus> Cva6Core<B> {
 
     /// Dispatches one translated superblock: retires instructions from the
     /// block arena until something observable happens — a CFI-relevant
-    /// commit, a bus I/O touch, the `until` cycle bound, a trap — or the
-    /// block ends for an internal reason (redirecting op, self-modifying
-    /// store, block cap). Every instruction before the final one is a plain
-    /// straight-line commit; the embedder applies its usual per-commit logic
-    /// to the final one only.
+    /// commit, the `until` cycle bound, a trap — or the block ends for an
+    /// internal reason (redirecting op, self-modifying store, block cap).
+    /// Every instruction before the final one is a plain straight-line
+    /// commit; the embedder applies its usual per-commit logic to the final
+    /// one only.
     ///
     /// Requires the predecode fast path; behaviourally identical to calling
     /// [`Cva6Core::step`] `straightline + 1` times.
@@ -418,7 +418,6 @@ impl<B: Bus> Cva6Core<B> {
             // remaining ops suspect.
             if last_in_block
                 || commit.cf_class.is_cfi_relevant()
-                || self.mem.io_peek()
                 || commit.cycle >= until
                 || commit.retired.redirected()
                 || self.decode_cache.generation() != generation

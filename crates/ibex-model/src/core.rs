@@ -12,8 +12,7 @@
 
 use crate::bus::{IbexBus, RegionKind};
 use riscv_isa::{
-    classify, predecode, CfClass, DecodeCache, DecodeCacheStats, Hart, Inst, MulOp, Retired, Trap,
-    Xlen,
+    classify, CfClass, DecodeCache, DecodeCacheStats, Hart, Inst, MulOp, Retired, Trap, Xlen,
 };
 use titancfi_obs::{Probe, RetireSample};
 
@@ -104,7 +103,7 @@ impl<B: IbexBus> IbexCore<B> {
             state: IbexState::Running,
             irqs_taken: 0,
             decode_cache: DecodeCache::new(decode_slots),
-            predecode: predecode::fast_path_default(),
+            predecode: true,
         }
     }
 

@@ -70,8 +70,8 @@ struct InFlight {
     completion: Option<u64>,
 }
 
-/// One finalized per-log record (kept only when `keep_records` is on —
-/// the conservation test inspects these individually).
+/// One finalized per-log record: the boundary stamps the conservation law
+/// checks before the stage spans enter the histograms.
 #[derive(Debug, Clone, Copy)]
 pub struct LogRecord {
     /// Cycle the log was accepted into the CFI queue.
@@ -163,8 +163,6 @@ pub struct LatencySpans {
     /// Writer pops with no matching accept stamp (collector attached
     /// mid-run). Always 0 when attached before the run starts.
     pub orphans: u64,
-    keep_records: bool,
-    records: Vec<LogRecord>,
 }
 
 impl Default for LatencySpans {
@@ -194,16 +192,7 @@ impl LatencySpans {
             forced: 0,
             conservation_failures: 0,
             orphans: 0,
-            keep_records: false,
-            records: Vec::new(),
         }
-    }
-
-    /// Keep every finalized [`LogRecord`] for per-log inspection (tests).
-    #[must_use]
-    pub fn keeping_records(mut self) -> LatencySpans {
-        self.keep_records = true;
-        self
     }
 
     /// A log entered the CFI queue at `cycle`.
@@ -306,9 +295,6 @@ impl LatencySpans {
                 self.detection.record(cycle.saturating_sub(record.accept));
             }
         }
-        if self.keep_records {
-            self.records.push(record);
-        }
     }
 
     /// Logs accepted but not yet terminal (queued + writer-held).
@@ -328,12 +314,6 @@ impl LatencySpans {
     #[must_use]
     pub fn conservation_ok(&self) -> bool {
         self.conservation_failures == 0 && self.orphans == 0
-    }
-
-    /// The finalized per-log records ([`LatencySpans::keeping_records`]).
-    #[must_use]
-    pub fn records(&self) -> &[LogRecord] {
-        &self.records
     }
 
     /// The checked-log stage histograms, in pipeline order, with their
@@ -423,14 +403,6 @@ impl LatencyCollector {
     pub fn new() -> LatencyCollector {
         LatencyCollector::default()
     }
-
-    /// Keep per-log records for inspection.
-    #[must_use]
-    pub fn keeping_records() -> LatencyCollector {
-        LatencyCollector {
-            spans: LatencySpans::new().keeping_records(),
-        }
-    }
 }
 
 impl Probe for LatencyCollector {
@@ -473,7 +445,7 @@ mod tests {
 
     #[test]
     fn stages_telescope_to_end_to_end() {
-        let mut s = LatencySpans::new().keeping_records();
+        let mut s = LatencySpans::new();
         checked_log(&mut s, 100, 7, false);
         assert_eq!(s.checked_ok, 1);
         assert!(s.conservation_ok());
@@ -486,7 +458,6 @@ mod tests {
             s.queue_wait.sum + s.axi_write.sum + s.fw_check.sum + s.verdict_read.sum,
             s.end_to_end.sum
         );
-        assert!(s.records()[0].conserved());
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //!
 //! TitanCFI's central idea is to run CFI enforcement *inside the RoT that is
 //! already on the SoC* (paper §I). This crate models the pieces of OpenTitan
-//! the paper relies on:
+//! the CFI path relies on:
 //!
 //! * the Ibex security microcontroller (via `ibex-model`) on the RoT bus
 //!   ([`rot::RotBus`]): the private 128 KB scratchpad (tamper-proof
@@ -10,32 +10,20 @@
 //!   [`mailbox`] and the [`plic`] interrupt path that deliver commit logs
 //!   from the host domain,
 //! * the [`hmac`] accelerator (HMAC-SHA-256, built on a from-scratch
-//!   [`sha256`]) used to authenticate CFI metadata spilled to SoC memory,
-//! * the scrambled, ECC-protected embedded [`flash`] (key storage) and the
-//!   [`secure_boot`] and [`attestation`] flows built on it,
-//! * the register-level SCMI system channel ([`scmi_wire`]) that serves
-//!   version and remote-attestation requests.
+//!   [`sha256`]) used to authenticate CFI metadata spilled to SoC memory.
 //!
 //! [`OpenTitan::new`] boots the Ibex core on the RoT bus around an
-//! assembled firmware image; the HMAC, flash, boot and attestation models
-//! stand on their own. [`LatencyProfile`] selects between the paper's
-//! baseline and "Optimized" interconnects.
+//! assembled firmware image; the HMAC engine stands on its own.
+//! [`LatencyProfile`] selects between the paper's baseline and "Optimized"
+//! interconnects.
 
-pub mod attestation;
-pub mod flash;
 pub mod hmac;
 pub mod mailbox;
 pub mod plic;
 pub mod rot;
-pub mod scmi_wire;
-pub mod secure_boot;
 pub mod sha256;
 
-pub use attestation::{verify_report, AttestationReport, Attestor, Challenge};
-pub use flash::{EccRead, Flash, Scrambler};
 pub use hmac::HmacEngine;
 pub use mailbox::CfiMailbox;
 pub use plic::Plic;
 pub use rot::{LatencyProfile, OpenTitan};
-pub use scmi_wire::{ScmiWire, ScmiWireService};
-pub use secure_boot::{boot, provision, BootError, BootReport};

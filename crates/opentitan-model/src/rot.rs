@@ -123,12 +123,7 @@ impl Bus for RotBus {
     }
 
     fn fetch(&mut self, addr: u64) -> Result<u32, MemFault> {
-        // The scratchpad's last halfword holds at most a compressed
-        // instruction: fetch the two bytes that exist.
-        self.sram
-            .read(addr, MemWidth::W)
-            .or_else(|_| self.sram.read(addr, MemWidth::H))
-            .map(|v| v as u32)
+        self.sram.fetch(addr)
     }
 }
 
@@ -304,6 +299,9 @@ mod tests {
         let last = map::SRAM_BASE + map::SRAM_SIZE - 2;
         bus.sram.load(last, &[0x82, 0x80]); // c.ret
         assert_eq!(bus.fetch(last).expect("last halfword"), 0x8082);
+        // A 32-bit parcel cut off by the end faults.
+        bus.sram.load(last, &[0x13, 0x05]);
+        assert!(bus.fetch(last).is_err());
         bus.sram.load(map::SRAM_BASE, &[0x13, 0x05, 0x10, 0x00]);
         assert_eq!(bus.fetch(map::SRAM_BASE).expect("fetch"), 0x0010_0513);
         // A fetch from a device window faults instead of claiming the

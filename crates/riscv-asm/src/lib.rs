@@ -32,12 +32,10 @@
 
 mod asm;
 mod compress;
-mod disasm;
 mod parse;
 mod program;
 
 pub use asm::{assemble, li_sequence, AsmError, Assembler};
 pub use compress::try_compress;
-pub use disasm::{disassemble, to_listing, DisasmLine};
 pub use parse::{Operand, ParseError, Stmt};
 pub use program::{CfiMeta, Program};

@@ -14,8 +14,8 @@
 //! threaded chain of ops with a single bounds check and zero per-op cache
 //! probes. A core executes a block op-by-op from the arena and only returns
 //! to the (expensive) outer loop when something *observable* happens: a
-//! CFI-relevant commit, an I/O access, a trap, a due sibling, or the cycle
-//! budget expiring. Timing-model updates are still exact per-op — blocks
+//! CFI-relevant commit, a trap, a due sibling, or the cycle budget
+//! expiring. Timing-model updates are still exact per-op — blocks
 //! batch the *dispatch*, not the timing.
 //!
 //! # Keying and invalidation

@@ -57,13 +57,14 @@ pub trait Bus {
     /// Returns [`MemFault`] when the address is unmapped or read-only.
     fn write(&mut self, addr: u64, width: MemWidth, value: u64) -> Result<(), MemFault>;
 
-    /// Fetches a 32-bit instruction parcel at `addr` (may span two
-    /// halfwords; implementations return whatever bytes exist, faulting only
-    /// if the first halfword is unmapped).
+    /// Fetches the instruction parcel at `addr`: 32 bits, of which a
+    /// compressed instruction uses the low half. The default reads one
+    /// word; [`FlatMemory`] returns the bytes that exist, so a compressed
+    /// instruction in its last halfword fetches.
     ///
     /// # Errors
     ///
-    /// Returns [`MemFault`] when the fetch address is unmapped.
+    /// Returns [`MemFault`] when the instruction's bytes are unmapped.
     fn fetch(&mut self, addr: u64) -> Result<u32, MemFault> {
         self.read(addr, MemWidth::W)
             .map(|v| v as u32)
@@ -71,15 +72,6 @@ pub trait Bus {
                 addr: f.addr,
                 store: false,
             })
-    }
-
-    /// Whether the bus has a pending I/O-touch flag the embedder observes
-    /// (see `HostBus::take_io_access` in the `soc` crate). Block dispatch
-    /// polls this after every op so a block ends at the first device-window
-    /// access, exactly where per-instruction stepping would have stopped.
-    /// Plain memories never flag I/O.
-    fn io_peek(&self) -> bool {
-        false
     }
 }
 
@@ -123,9 +115,7 @@ pub struct Retired {
     pub next: u64,
     /// Actual next pc (branch/jump target, or `next`).
     pub target: u64,
-    /// Whether the instruction performed a data-memory access.
-    pub memory_access: bool,
-    /// Effective address of that access (for cache models).
+    /// Effective address of the instruction's data-memory access, if any.
     pub mem_addr: Option<u64>,
     /// Whether this was a `wfi` (the core model parks the hart).
     pub wfi: bool,
@@ -361,7 +351,6 @@ impl Hart {
         let len = u64::from(decoded.len);
         let next = pc.wrapping_add(len);
         let mut target = next;
-        let mut memory_access = false;
         let mut mem_addr = None;
         let mut wfi = false;
 
@@ -393,7 +382,6 @@ impl Hart {
                 width,
                 unsigned,
             } => {
-                memory_access = true;
                 let addr = self.mask_addr(self.reg(rs1).wrapping_add(offset as u64));
                 mem_addr = Some(addr);
                 let raw = bus.read(addr, width).map_err(Trap::MemFault)?;
@@ -415,7 +403,6 @@ impl Hart {
                 offset,
                 width,
             } => {
-                memory_access = true;
                 let addr = self.mask_addr(self.reg(rs1).wrapping_add(offset as u64));
                 mem_addr = Some(addr);
                 bus.write(addr, width, self.reg(rs2))
@@ -453,7 +440,6 @@ impl Hart {
                 self.set_reg(rd, v);
             }
             Inst::LoadReserved { rd, rs1, width } => {
-                memory_access = true;
                 let addr = self.mask_addr(self.reg(rs1));
                 mem_addr = Some(addr);
                 let raw = bus.read(addr, width).map_err(Trap::MemFault)?;
@@ -471,7 +457,6 @@ impl Hart {
                 rs2,
                 width,
             } => {
-                memory_access = true;
                 let addr = self.mask_addr(self.reg(rs1));
                 mem_addr = Some(addr);
                 if self.reservation == Some(addr) {
@@ -490,7 +475,6 @@ impl Hart {
                 rs2,
                 width,
             } => {
-                memory_access = true;
                 let addr = self.mask_addr(self.reg(rs1));
                 mem_addr = Some(addr);
                 let raw = bus.read(addr, width).map_err(Trap::MemFault)?;
@@ -563,7 +547,6 @@ impl Hart {
             decoded,
             next,
             target,
-            memory_access,
             mem_addr,
             wfi,
         })
@@ -810,12 +793,6 @@ impl FlatMemory {
         self.base
     }
 
-    /// Size of the region in bytes.
-    #[must_use]
-    pub fn size(&self) -> usize {
-        self.data.len()
-    }
-
     #[inline]
     fn offset(&self, addr: u64, len: u64) -> Option<usize> {
         let off = addr.checked_sub(self.base)?;
@@ -824,6 +801,24 @@ impl FlatMemory {
 }
 
 impl Bus for FlatMemory {
+    /// The full word when it fits; otherwise the last halfword, if it holds
+    /// a compressed instruction. A 32-bit parcel cut off by the end of the
+    /// region faults at its missing upper half.
+    #[inline]
+    fn fetch(&mut self, addr: u64) -> Result<u32, MemFault> {
+        if let Ok(word) = self.read(addr, MemWidth::W) {
+            return Ok(word as u32);
+        }
+        let half = self.read(addr, MemWidth::H)? as u32;
+        if half & 0b11 == 0b11 {
+            return Err(MemFault {
+                addr: addr + 2,
+                store: false,
+            });
+        }
+        Ok(half)
+    }
+
     #[inline]
     fn read(&mut self, addr: u64, width: MemWidth) -> Result<u64, MemFault> {
         let n = width.bytes();
@@ -974,7 +969,7 @@ mod tests {
         hart.set_reg(Reg::A0, 0xdead_beef_cafe_f00d);
         hart.step(&mut mem).expect("sd");
         let r = hart.step(&mut mem).expect("ld");
-        assert!(r.memory_access);
+        assert!(r.mem_addr.is_some());
         assert_eq!(hart.reg(Reg::A1), 0xdead_beef_cafe_f00d);
     }
 
@@ -1095,6 +1090,27 @@ mod tests {
         let mut hart = Hart::new(Xlen::Rv64, 0xdead_0000);
         let mut mem = FlatMemory::new(0x1000, 0x100);
         assert!(matches!(hart.step(&mut mem), Err(Trap::FetchFault(_))));
+    }
+
+    #[test]
+    fn compressed_instruction_in_the_last_halfword_fetches() {
+        let mut mem = FlatMemory::new(0x1000, 16);
+        mem.load(0x100e, &[0x01, 0x00]); // c.nop
+        assert_eq!(mem.fetch(0x100e), Ok(0x0001));
+        let mut hart = Hart::new(Xlen::Rv64, 0x100e);
+        let r = hart.step(&mut mem).expect("c.nop retires");
+        assert_eq!((r.decoded.len, hart.pc), (2, 0x1010));
+        // A 32-bit parcel cut off by the end faults at its missing half.
+        mem.load(0x100e, &[0x13, 0x00]); // low half of `nop`
+        let cut = MemFault {
+            addr: 0x1010,
+            store: false,
+        };
+        assert_eq!(mem.fetch(0x100e), Err(cut));
+        let mut hart = Hart::new(Xlen::Rv64, 0x100e);
+        assert_eq!(hart.step(&mut mem), Err(Trap::FetchFault(cut)));
+        // Past the end.
+        assert_eq!(mem.fetch(0x1010), Err(cut));
     }
 
     #[test]

@@ -5,11 +5,8 @@
 //! programming PMP so that loads/stores from the host into the mailbox
 //! region raise access faults. This module implements the machine-mode PMP
 //! checker — TOR and NAPOT region matching with R/W/X permission bits and
-//! the lock bit — plus [`PmpBus`], a bus wrapper that applies it to every
-//! data access of a hart.
-
-use crate::exec::{Bus, MemFault};
-use crate::inst::MemWidth;
+//! the lock bit. The host bus in the `soc` crate applies it to every load,
+//! store and fetch.
 
 /// Access type being checked.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -148,62 +145,9 @@ impl Pmp {
     }
 }
 
-/// A bus wrapper enforcing PMP on data accesses.
-#[derive(Debug)]
-pub struct PmpBus<B> {
-    inner: B,
-    pmp: Pmp,
-    /// Count of faulted (blocked) accesses, for reporting.
-    pub denials: u64,
-}
-
-impl<B> PmpBus<B> {
-    /// Wraps `inner` with `pmp`.
-    #[must_use]
-    pub fn new(inner: B, pmp: Pmp) -> PmpBus<B> {
-        PmpBus {
-            inner,
-            pmp,
-            denials: 0,
-        }
-    }
-
-    /// The wrapped bus.
-    pub fn inner_mut(&mut self) -> &mut B {
-        &mut self.inner
-    }
-}
-
-impl<B: Bus> Bus for PmpBus<B> {
-    fn read(&mut self, addr: u64, width: MemWidth) -> Result<u64, MemFault> {
-        if !self.pmp.check(addr, AccessKind::Read) {
-            self.denials += 1;
-            return Err(MemFault { addr, store: false });
-        }
-        self.inner.read(addr, width)
-    }
-
-    fn write(&mut self, addr: u64, width: MemWidth, value: u64) -> Result<(), MemFault> {
-        if !self.pmp.check(addr, AccessKind::Write) {
-            self.denials += 1;
-            return Err(MemFault { addr, store: true });
-        }
-        self.inner.write(addr, width, value)
-    }
-
-    fn fetch(&mut self, addr: u64) -> Result<u32, MemFault> {
-        if !self.pmp.check(addr, AccessKind::Execute) {
-            self.denials += 1;
-            return Err(MemFault { addr, store: false });
-        }
-        self.inner.fetch(addr)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exec::FlatMemory;
 
     #[test]
     fn locked_region_blocks_writes() {
@@ -261,19 +205,6 @@ mod tests {
             pmp.check(0x1010, AccessKind::Write),
             "unlocked: M-mode may access"
         );
-    }
-
-    #[test]
-    fn pmp_bus_faults_and_counts() {
-        let mut mem = FlatMemory::new(0x1000, 0x2000);
-        mem.load(0x1800, &[0xaa]);
-        let mut pmp = Pmp::new();
-        pmp.add(PmpEntry::napot(0x1800, 0x100, false, false, false));
-        let mut bus = PmpBus::new(mem, pmp);
-        assert!(bus.read(0x1800, MemWidth::B).is_err());
-        assert!(bus.write(0x1800, MemWidth::B, 1).is_err());
-        assert!(bus.read(0x1000, MemWidth::B).is_ok());
-        assert_eq!(bus.denials, 2);
     }
 
     #[test]

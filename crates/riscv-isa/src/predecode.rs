@@ -22,35 +22,13 @@
 //! poking RAM directly — must call [`DecodeCache::invalidate_all`] (the
 //! core models do this in their `set_predecode`/`load` paths).
 //!
-//! The global [`fast_path_default`] switch seeds the predecode flag of newly
-//! constructed cores. Its only caller outside this module's own test is
-//! `tests/decode_cache.rs::tables_byte_identical_with_fast_path_default_flipped`,
-//! which flips it to prove the tables byte-identical with the fast path off;
-//! everything else pins the fast path per core or per SoC.
+//! New cores start with predecode on; each core or SoC switches it for
+//! itself (`set_predecode`, `SocConfig::fast_path`).
 
 use crate::cfi::{classify, CfClass};
 use crate::decode::Decoded;
 use crate::inst::Inst;
 use std::sync::atomic::{AtomicBool, Ordering};
-
-/// Process-wide default for the simulator fast path (predecode caches and
-/// block-compiled dispatch). Newly constructed cores and `SocConfig`s sample it;
-/// flipping it never affects already-built cores.
-static FAST_PATH_DEFAULT: AtomicBool = AtomicBool::new(true);
-
-/// Whether newly constructed cores enable the predecode fast path.
-#[must_use]
-pub fn fast_path_default() -> bool {
-    FAST_PATH_DEFAULT.load(Ordering::SeqCst)
-}
-
-/// Sets the process-wide fast-path default sampled at core construction.
-/// Outside its own unit test, the one caller is
-/// `tests/decode_cache.rs::tables_byte_identical_with_fast_path_default_flipped`,
-/// which renders the tables with the default off and on.
-pub fn set_fast_path_default(on: bool) {
-    FAST_PATH_DEFAULT.store(on, Ordering::SeqCst);
-}
 
 /// Mutation-testing switch: when set, [`DecodeCache::invalidate_store`]
 /// silently skips eviction — a deliberately plantable cache-coherence bug.
@@ -489,13 +467,4 @@ mod tests {
     // process-global, so its behavioural test lives in the fuzz crate's
     // single-process `tests/mutation.rs` rather than here, where it would
     // race the other invalidation tests running in parallel threads.
-
-    #[test]
-    fn global_default_round_trips() {
-        assert!(fast_path_default());
-        set_fast_path_default(false);
-        assert!(!fast_path_default());
-        set_fast_path_default(true);
-        assert!(fast_path_default());
-    }
 }

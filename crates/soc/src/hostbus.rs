@@ -1,5 +1,5 @@
-//! The host-domain bus: RAM, the host's SCMI system channel, and the PMP
-//! lock on the CFI mailbox window.
+//! The host-domain bus: program RAM behind the PMP lock on the CFI mailbox
+//! window.
 //!
 //! Paper §VI: *"We assume the CFI Mailbox cannot be tampered by other
 //! entities in the SoC. This is reasonable since other security IPs, such
@@ -12,7 +12,6 @@
 //! reaches the mailbox, so the model puts no device behind the window at
 //! all — the mailbox lives on the RoT bus, driven by the writer.
 
-use opentitan_model::ScmiWire;
 use riscv_isa::pmp::{AccessKind, Pmp, PmpEntry};
 use riscv_isa::{Bus, FlatMemory, MemFault, MemWidth};
 
@@ -20,50 +19,25 @@ use riscv_isa::{Bus, FlatMemory, MemFault, MemWidth};
 pub const MAILBOX_BASE: u64 = 0xc000_0000;
 /// Size of the window (power of two for a NAPOT PMP entry).
 pub const MAILBOX_SIZE: u64 = 0x100;
-/// Host physical address of the general SCMI system mailbox — *not* PMP
-/// protected: it is the host's legitimate channel to the RoT services
-/// (version, attestation).
-pub const SCMI_BASE: u64 = 0xc100_0000;
-/// SCMI window size.
-pub const SCMI_SIZE: u64 = opentitan_model::scmi_wire::WINDOW;
 
-/// The host bus: program RAM, this host's SCMI channel, and the PMP unit.
+/// The host bus: program RAM and the PMP unit.
 #[derive(Debug)]
 pub struct HostBus {
     ram: FlatMemory,
-    scmi: ScmiWire,
     pmp: Pmp,
     /// Accesses blocked by PMP (tamper attempts).
     pub pmp_denials: u64,
-    /// Sticky flag: the host touched its SCMI window or was denied by PMP
-    /// since the last [`HostBus::take_io_access`]. The block batcher breaks
-    /// on it so device-visible timing matches strict stepping.
-    io_access: bool,
 }
 
 impl HostBus {
-    /// A bus with `mem_size` bytes of RAM at `base`, a cleared SCMI channel
-    /// at [`SCMI_BASE`], and empty PMP.
+    /// A bus with `mem_size` bytes of RAM at `base` and empty PMP.
     #[must_use]
     pub fn new(base: u64, mem_size: usize) -> HostBus {
         HostBus {
             ram: FlatMemory::new(base, mem_size),
-            scmi: ScmiWire::new(),
             pmp: Pmp::new(),
             pmp_denials: 0,
-            io_access: false,
         }
-    }
-
-    /// Takes (and clears) the device-window access flag.
-    #[inline]
-    pub fn take_io_access(&mut self) -> bool {
-        std::mem::take(&mut self.io_access)
-    }
-
-    /// This host's SCMI channel — the RoT service's side of the window.
-    pub fn scmi_mut(&mut self) -> &mut ScmiWire {
-        &mut self.scmi
     }
 
     /// Programs the locked PMP entry that inhibits all software access to
@@ -87,53 +61,36 @@ impl HostBus {
         self.ram.load(addr, bytes);
     }
 
-    /// RAM base address.
-    #[must_use]
-    pub fn ram_base(&self) -> u64 {
-        self.ram.base()
-    }
-
-    /// RAM size.
-    #[must_use]
-    pub fn ram_size(&self) -> usize {
-        self.ram.size()
-    }
-
-    fn in_scmi(addr: u64, len: u64) -> bool {
-        addr >= SCMI_BASE && addr + len <= SCMI_BASE + SCMI_SIZE
+    /// Checks `addr` against the PMP, counting a denial.
+    fn allowed(&mut self, addr: u64, kind: AccessKind) -> bool {
+        if self.pmp.check(addr, kind) {
+            return true;
+        }
+        self.pmp_denials += 1;
+        false
     }
 }
 
 impl Bus for HostBus {
-    fn io_peek(&self) -> bool {
-        self.io_access
-    }
-
     fn read(&mut self, addr: u64, width: MemWidth) -> Result<u64, MemFault> {
-        if !self.pmp.check(addr, AccessKind::Read) {
-            self.pmp_denials += 1;
-            self.io_access = true;
+        if !self.allowed(addr, AccessKind::Read) {
             return Err(MemFault { addr, store: false });
-        }
-        if Self::in_scmi(addr, width.bytes()) {
-            self.io_access = true;
-            return Ok(self.scmi.host_read(addr - SCMI_BASE, width.bytes()));
         }
         self.ram.read(addr, width)
     }
 
     fn write(&mut self, addr: u64, width: MemWidth, value: u64) -> Result<(), MemFault> {
-        if !self.pmp.check(addr, AccessKind::Write) {
-            self.pmp_denials += 1;
-            self.io_access = true;
+        if !self.allowed(addr, AccessKind::Write) {
             return Err(MemFault { addr, store: true });
         }
-        if Self::in_scmi(addr, width.bytes()) {
-            self.io_access = true;
-            self.scmi.host_write(addr - SCMI_BASE, width.bytes(), value);
-            return Ok(());
-        }
         self.ram.write(addr, width, value)
+    }
+
+    fn fetch(&mut self, addr: u64) -> Result<u32, MemFault> {
+        if !self.allowed(addr, AccessKind::Execute) {
+            return Err(MemFault { addr, store: false });
+        }
+        self.ram.fetch(addr)
     }
 }
 
@@ -157,5 +114,37 @@ mod tests {
         let mut bus = HostBus::new(0x1000, 0x100);
         bus.load(0x1010, &[1, 2, 3, 4]);
         assert_eq!(bus.read(0x1010, MemWidth::W).expect("read"), 0x0403_0201);
+    }
+
+    #[test]
+    fn fetch_reads_the_bytes_that_exist_and_honours_the_pmp() {
+        let mut bus = HostBus::new(0x1000, 16);
+        bus.protect_mailbox();
+        // A compressed instruction in RAM's last halfword fetches.
+        bus.load(0x100e, &[0x01, 0x00]); // c.nop
+        assert_eq!(bus.fetch(0x100e), Ok(0x0001));
+        let mut hart = riscv_isa::Hart::new(riscv_isa::Xlen::Rv64, 0x100e);
+        let retired = hart.step(&mut bus).expect("c.nop retires");
+        assert_eq!(retired.next, 0x1010);
+        // A 32-bit parcel cut off by the end faults at its missing half.
+        bus.load(0x100e, &[0x13, 0x00]); // low half of `nop`
+        assert_eq!(
+            bus.fetch(0x100e),
+            Err(MemFault {
+                addr: 0x1010,
+                store: false
+            })
+        );
+        assert!(bus.fetch(0x1010).is_err(), "past the end");
+        // The locked mailbox window faults on fetch and counts a denial.
+        assert_eq!(bus.pmp_denials, 0);
+        assert_eq!(
+            bus.fetch(MAILBOX_BASE),
+            Err(MemFault {
+                addr: MAILBOX_BASE,
+                store: false
+            })
+        );
+        assert_eq!(bus.pmp_denials, 1);
     }
 }

@@ -29,6 +29,6 @@ mod hostbus;
 mod multicore;
 mod sim;
 
-pub use hostbus::{HostBus, MAILBOX_BASE, MAILBOX_SIZE, SCMI_BASE, SCMI_SIZE};
+pub use hostbus::{HostBus, MAILBOX_BASE, MAILBOX_SIZE};
 pub use multicore::{CoreReport, DualHostSoc, DualReport, TaggedLog, TaggedViolation, CORES};
 pub use sim::{run_baseline, SocConfig, SocReport, SystemOnChip, CFI_VIOLATION_CAUSE};

@@ -10,10 +10,10 @@
 //! exceptions.
 //!
 //! One engine serves any number of host cores. Each core keeps its own CFI
-//! filter, halt state and SCMI channel; all of them feed the one
-//! *background* — queue, Log Writer, mailbox, RoT and SCMI service — and
-//! the run loop steps the live core that is furthest behind. [`SystemOnChip`] is the single-core
-//! case, and `DualHostSoc` wraps the same engine around two cores.
+//! filter and halt state; all of them feed the one *background* — queue,
+//! Log Writer, mailbox and RoT — and the run loop steps the live core that
+//! is furthest behind. [`SystemOnChip`] is the single-core case, and
+//! `DualHostSoc` wraps the same engine around two cores.
 //!
 //! Two schedulers drive the engine, observationally identical:
 //!
@@ -30,7 +30,7 @@
 
 use crate::hostbus::HostBus;
 use cva6_model::{Commit, Cva6Core, Halt, TimingConfig};
-use opentitan_model::{OpenTitan, ScmiWireService};
+use opentitan_model::OpenTitan;
 use riscv_asm::Program;
 use titancfi::firmware::{self, BootedRot, FirmwareKind};
 use titancfi::{
@@ -71,8 +71,7 @@ pub struct SocConfig {
     /// Simulator fast path: predecoded instruction caches on every core.
     /// Cycle-exact either way — every report field is identical with the
     /// flag on or off (pinned by `tests/decode_cache.rs`); off exists for
-    /// A/B verification and as the reference semantics. Defaults to the
-    /// process-wide [`riscv_isa::predecode::fast_path_default`].
+    /// A/B verification and as the reference semantics. Defaults to on.
     pub fast_path: bool,
     /// Superblock dispatch on the host cores plus event-driven background
     /// scheduling. Only consulted when the fast path is active, and
@@ -81,8 +80,7 @@ pub struct SocConfig {
     /// semantics check at every commit; a latency collector keeps it on
     /// ([`SystemOnChip::block_dispatch`]). Cycle-exact like `fast_path` —
     /// pinned by `tests/decode_cache.rs` and the fuzz oracle's
-    /// block-compiled stepping mode. Defaults to the process-wide
-    /// [`riscv_isa::predecode::fast_path_default`].
+    /// block-compiled stepping mode. Defaults to on.
     pub block_compile: bool,
     /// Decode-cache capacity (slots, rounded up to a power of two) of
     /// every host core. The default covers kernel-sized programs; fleet
@@ -113,8 +111,8 @@ impl Default for SocConfig {
             trap_host_on_violation: false,
             resilience: ResilienceConfig::default(),
             faults: None,
-            fast_path: riscv_isa::predecode::fast_path_default(),
-            block_compile: riscv_isa::predecode::fast_path_default(),
+            fast_path: true,
+            block_compile: true,
             decode_cache_slots: riscv_isa::DecodeCache::DEFAULT_SLOTS,
             block_cache_slots: riscv_isa::BlockCache::DEFAULT_SLOTS,
         }
@@ -210,7 +208,6 @@ pub struct SystemOnChip {
     bg_poke: bool,
     pub(crate) violations: Vec<Violation>,
     trapped_violations: usize,
-    scmi_service: ScmiWireService,
     recorder: Option<Recorder>,
     /// Latency-only probe ([`SystemOnChip::attach_latency`]); ignored while
     /// a full recorder is attached (the recorder collects its own spans).
@@ -285,18 +282,13 @@ impl SystemOnChip {
             poll_loop: poll_pc,
         } = firmware::boot(&fw, config.firmware);
         rot.core.set_predecode(config.fast_path);
-        // The general SCMI system mailbox (host-accessible, one channel per
-        // host bus): version and remote-attestation services, attesting the
-        // booted CFI firmware.
-        let scmi_service = ScmiWireService::new(b"titancfi-attestation-key", &fw.bytes);
         let hosts = programs
             .iter()
             .map(|program| {
-                // Host bus: program RAM, the host's SCMI channel, and the
-                // mailbox window locked down by PMP exactly as the paper's
-                // threat model assumes (software cannot tamper with
-                // in-flight commit logs; only the hardware Log Writer
-                // reaches the mailbox).
+                // Host bus: program RAM, with the mailbox window locked
+                // down by PMP exactly as the paper's threat model assumes
+                // (software cannot tamper with in-flight commit logs; only
+                // the hardware Log Writer reaches the mailbox).
                 assert!(
                     program.bytes.len() <= config.mem_size,
                     "program ({} bytes) larger than memory ({})",
@@ -311,10 +303,8 @@ impl SystemOnChip {
                     riscv_isa::Reg::SP,
                     (program.base + config.mem_size as u64 - 16) & !0xf,
                 );
-                // Size the simulator caches before any instruction executes.
-                // Predecode is a per-core property of this SoC instance; pin
-                // it to the config rather than the global default so A/B
-                // runs in one process stay independent.
+                // Size the simulator caches before any instruction executes,
+                // and pin predecode to this SoC's config.
                 core.resize_caches(config.decode_cache_slots, config.block_cache_slots);
                 core.set_predecode(config.fast_path);
                 Host {
@@ -348,7 +338,6 @@ impl SystemOnChip {
             bg_poke: false,
             violations: Vec::new(),
             trapped_violations: 0,
-            scmi_service,
             recorder: None,
             latency: None,
             cfi_range,
@@ -459,13 +448,6 @@ impl SystemOnChip {
         }
     }
 
-    /// The SHA-256 measurement of the booted CFI firmware — what a remote
-    /// verifier expects attestation reports to carry.
-    #[must_use]
-    pub fn firmware_measurement(&self) -> [u8; 32] {
-        self.scmi_service.measurement()
-    }
-
     /// Advances the background machinery (Log Writer + RoT) to `until`.
     fn advance_background(&mut self, until: u64) {
         while self.bg_cycle < until {
@@ -474,7 +456,6 @@ impl SystemOnChip {
                 && !self.writer.busy()
                 && !self.rot.mailbox().doorbell_pending()
             {
-                Self::poll_scmi(&mut self.scmi_service, &mut self.hosts);
                 if let Some(rec) = self.recorder.as_mut() {
                     // The skipped cycles all see an empty queue; record them
                     // in bulk so the occupancy histogram stays per-cycle.
@@ -487,13 +468,6 @@ impl SystemOnChip {
                 return;
             }
             self.tick_once();
-        }
-    }
-
-    /// Serves each host's SCMI channel, in core order.
-    fn poll_scmi(service: &mut ScmiWireService, hosts: &mut [Host]) {
-        for host in hosts {
-            service.poll(host.core.bus_mut().scmi_mut());
         }
     }
 
@@ -550,7 +524,6 @@ impl SystemOnChip {
             self.violations.push(v);
         }
         probe.histogram_record("queue.occupancy", self.queue.len() as u64);
-        Self::poll_scmi(&mut self.scmi_service, &mut self.hosts);
         self.rot.sync_irq();
         let runnable = self.rot_health == RotHealth::Healthy
             && (self.rot.core.state() == ibex_model::IbexState::Running
@@ -603,10 +576,6 @@ impl SystemOnChip {
         } else if self.bg_cycle >= until {
             return;
         }
-        // The host cores are frozen for the whole advance, so a pending SCMI
-        // request is served once up front — when the first per-tick poll
-        // would have run it. (SCMI and the CFI transport never interact.)
-        Self::poll_scmi(&mut self.scmi_service, &mut self.hosts);
         // The doorbell level, re-read after everything below that can move
         // it. The per-cycle tick path syncs the IRQ fabric before its RoT
         // step, so a completion on that step can leave the line stale: sync
@@ -889,25 +858,21 @@ impl SystemOnChip {
     }
 
     /// Runs host `i` for one commit — or, in block mode, for a batch of
-    /// straight-line commits up to the next CFI-relevant commit, device
-    /// access or `until` — then brings the background up to the last
-    /// commit and applies that commit's CFI effects.
+    /// straight-line commits up to the next CFI-relevant commit or `until`
+    /// — then brings the background up to the last commit and applies that
+    /// commit's CFI effects.
     fn step_host(&mut self, i: usize, block: bool, until: u64) -> Result<(), Halt> {
         let mut commit = self.host_step(i, block, until)?;
         let mut batch_halt = None;
         if block {
             // Block mode batches through busy transport phases: a host and
             // the background only interact at queue pushes (CFI-relevant
-            // commits) and device-window accesses, and another core only
-            // runs once this one reaches `until`. Batches end at all
-            // three, so deferring the background catch-up to the batch
-            // boundary composes to the same state.
+            // commits), and another core only runs once this one reaches
+            // `until`. Batches end at both, so deferring the background
+            // catch-up to the batch boundary composes to the same state.
             loop {
                 let host = &mut self.hosts[i];
-                if commit.cf_class.is_cfi_relevant()
-                    || host.core.bus_mut().take_io_access()
-                    || host.core.cycle() >= until
-                {
+                if commit.cf_class.is_cfi_relevant() || host.core.cycle() >= until {
                     break;
                 }
                 // The filter hardware scans every retirement; account the
@@ -1094,11 +1059,6 @@ impl SystemOnChip {
     #[must_use]
     pub fn pmp_denials(&mut self) -> u64 {
         self.hosts[0].core.bus_mut().pmp_denials
-    }
-
-    /// Direct access to the host bus (verifier-side readback in tests).
-    pub fn host_bus_mut(&mut self) -> &mut HostBus {
-        self.hosts[0].core.bus_mut()
     }
 }
 

@@ -40,6 +40,8 @@ fn main() {
             };
             let mut soc = SystemOnChip::new(&program, config);
             let report = soc.run(1_000_000_000);
+            assert_eq!(report.halt, cva6_model::Halt::Breakpoint);
+            assert!(report.violations.is_empty(), "benign kernel flagged");
             println!(
                 "{:<12} {:>6} {:>12} {:>9.1}%",
                 fw.name(),

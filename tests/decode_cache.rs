@@ -3,21 +3,16 @@
 //! and the fast path (predecode + block-compiled dispatch) retires the exact
 //! same instruction stream, cycle counts, and CFI verdicts as strict
 //! per-cycle stepping — pinned here for the bare cores, the full SoC,
-//! the multi-core SoC, the scrambled secure-boot flash path, and every
-//! table binary of the evaluation harness.
-//!
-//! All tests except `tables_byte_identical_with_fast_path_default_flipped`
-//! set predecode/fast-path explicitly per instance, so they are immune to
-//! the global-default flip that test performs (tests share one process).
+//! the multi-core SoC, and the core runs behind the evaluation tables.
+//! Every test sets predecode or the fast path per instance.
 
 use cva6_model::{Cva6Core, Halt, TimingConfig};
 use ibex_model::IbexCore;
-use opentitan_model::hmac::HmacEngine;
 use opentitan_model::rot::{map, LatencyProfile, RotBus};
-use opentitan_model::secure_boot::{boot, provision, IMAGE_BASE_WORD};
-use opentitan_model::{Flash, OpenTitan};
+use opentitan_model::OpenTitan;
 use riscv_asm::{assemble, Program};
 use riscv_isa::{Reg, Xlen};
+use titancfi::firmware::{FirmwareKind, FirmwareRunner};
 use titancfi_soc::{DualHostSoc, SocConfig, SystemOnChip};
 use titancfi_workloads::kernels::{all_kernels, KERNEL_MEM};
 
@@ -246,53 +241,6 @@ fn cva6_store_into_currently_executing_block_refetches() {
     assert_eq!(runs[0], runs[1], "fast path must be cycle-invisible");
 }
 
-/// An image delivered through the scrambled + SECDED + HMAC boot path must
-/// run identically with the fast path on and off — the descrambled bytes
-/// are loaded at a different base than they were assembled for nothing:
-/// the cache keys on the PCs the core actually fetches from.
-#[test]
-fn scrambled_secure_boot_image_runs_identically() {
-    let src = r"
-_start:
-    li   a0, 0
-    li   a1, 24
-loop:
-    addi a0, a0, 3
-    addi a1, a1, -1
-    bnez a1, loop
-    ebreak
-";
-    let prog = assemble(src, Xlen::Rv32, map::SRAM_BASE).expect("assembles");
-
-    let mut flash = Flash::new(512, 0x5eed_0123_4567_89ab);
-    let engine = HmacEngine::new(b"decode-cache-test-key");
-    provision(&mut flash, &engine, &prog.bytes);
-    // The image really is scrambled at rest.
-    assert_ne!(
-        flash.raw(IMAGE_BASE_WORD + 1) as u32,
-        u32::from_le_bytes(prog.bytes[0..4].try_into().expect("4 bytes")),
-        "flash stores the scrambled encoding"
-    );
-    let (image, report) = boot(&flash, &engine).expect("authenticated boot");
-    assert_eq!(image, prog.bytes, "boot must descramble back to plaintext");
-    assert!(report.words_read > 0);
-
-    let booted = Program {
-        bytes: image,
-        ..prog
-    };
-    let mut runs = Vec::new();
-    for predecode in [false, true] {
-        let mut core = ibex_core(&booted);
-        core.set_predecode(predecode);
-        let (burst, event) = core.run_until_idle(100_000);
-        assert!(matches!(event, Some(ibex_model::IbexEvent::Trapped(_))));
-        assert_eq!(core.hart.reg(Reg::A0), 72, "predecode={predecode}");
-        runs.push((core.cycle(), burst.len(), core.hart.pc));
-    }
-    assert_eq!(runs[0], runs[1], "booted image must run cycle-identically");
-}
-
 /// Full-SoC fingerprints: host + CFI transport + RoT firmware with the fast
 /// path on vs off, over kernels covering calls, branches, and memory.
 #[test]
@@ -337,31 +285,33 @@ fn multicore_report_identical_fast_path_on_vs_off() {
     );
 }
 
-/// Every table of the evaluation harness must render byte-identically with
-/// the fast path globally off and globally on — the paper's numbers cannot
-/// depend on a simulator optimisation. This is the one test that flips the
-/// process-wide default; all other tests here pin predecode per instance.
+/// The only evaluation artifacts that run a core — Table I's firmware
+/// checks and the native suite's CVA6 runs (Tables II–IV replay traces) —
+/// must measure identically with predecode off and on: the paper's numbers
+/// cannot depend on a simulator optimisation.
 #[test]
-fn tables_byte_identical_with_fast_path_default_flipped() {
-    use riscv_isa::predecode::{fast_path_default, set_fast_path_default};
-    let render = || {
-        let mut out = String::new();
-        out.push_str(&titancfi_bench::table1());
-        out.push_str(&titancfi_bench::table2());
-        out.push_str(&titancfi_bench::table3());
-        out.push_str(&titancfi_bench::table4());
-        for name in ["fib", "crc32"] {
-            let kernel = all_kernels().find(|k| k.name == name).expect(name);
-            let (line, _) = titancfi_bench::native_kernel_line(kernel).expect(name);
-            out.push_str(&line);
-        }
-        out
-    };
-    let prev = fast_path_default();
-    set_fast_path_default(false);
-    let slow = render();
-    set_fast_path_default(true);
-    let fast = render();
-    set_fast_path_default(prev);
-    assert_eq!(slow, fast, "tables must not depend on the fast path");
+fn table_measurements_identical_with_predecode_on_vs_off() {
+    for kind in FirmwareKind::ALL {
+        let runs = [false, true].map(|predecode| {
+            let mut fw = FirmwareRunner::new(kind);
+            fw.set_predecode(predecode);
+            [titancfi_bench::sample_call(), titancfi_bench::sample_ret()].map(|log| fw.check(&log))
+        });
+        assert_eq!(runs[0], runs[1], "{kind:?}: Table I moved with predecode");
+    }
+    for name in ["fib", "crc32"] {
+        let kernel = all_kernels().find(|k| k.name == name).expect(name);
+        let prog = kernel.program().expect("assembles");
+        let runs = [false, true].map(|predecode| {
+            let mut core = Cva6Core::new(&prog, KERNEL_MEM, TimingConfig::default());
+            core.set_predecode(predecode);
+            let (commits, halt) = core.run(titancfi_bench::NATIVE_CYCLE_CAP);
+            assert_eq!(halt, Halt::Breakpoint, "{name} predecode={predecode}");
+            (commits, core.stats())
+        });
+        assert_eq!(
+            runs[0], runs[1],
+            "{name}: the native run moved with predecode"
+        );
+    }
 }
