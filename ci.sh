@@ -33,14 +33,13 @@ echo "==> benchmark check (separate workspace: build, unit tests, quick run)"
 # builds; this catches a change that breaks an API it calls.
 benchmark/check.sh
 
-echo "==> campaign smoke (full plan at -j 1 and -j 4, byte-identical)"
-# Every campaign runs every job and assembles the results in submission
-# order, so the worker count must not change a single byte of output.
-campaign_dir=$(mktemp -d)
-cargo run --release -p titancfi-bench --bin campaign -- -j 1 > "$campaign_dir/j1.txt"
-cargo run --release -p titancfi-bench --bin campaign -- -j 4 > "$campaign_dir/j4.txt"
-cmp "$campaign_dir/j1.txt" "$campaign_dir/j4.txt"
-rm -rf "$campaign_dir"
+echo "==> campaign smoke (every artifact in one run)"
+# The only step that runs the design-space sweep and the native suite;
+# campaign exits nonzero if any artifact panics or trips the watchdog.
+campaign_out=$(mktemp)
+cargo run --release -p titancfi-bench --bin campaign > "$campaign_out"
+test -s "$campaign_out" || { echo "campaign smoke: no output"; exit 1; }
+rm -f "$campaign_out"
 
 echo "==> EXPERIMENTS.md check (its head is exactly what report prints)"
 # report recomputes every table on each run, so its stdout must equal the
@@ -63,13 +62,18 @@ for f in trace.json trace.folded metrics.json; do
 done
 rm -rf "$trace_dir"
 
-echo "==> fault-campaign smoke (every class detected or recovered, no hangs)"
+echo "==> fault-campaign smoke (every class detected or recovered, no hangs; -j 1 and -j 4 byte-identical)"
 # The faults binary exits nonzero if any injected fault was neither
-# detected nor recovered, or any scenario exhausted its cycle budget.
+# detected nor recovered, any scenario exhausted its cycle budget, or any
+# scenario failed outright. The pool returns results in input order, so
+# the worker count must not change a single byte of the matrix.
 fault_dir=$(mktemp -d)
 cargo run --release -p titancfi-bench --bin faults -- \
-    --smoke --verbose --out "$fault_dir/fault-matrix.txt"
+    --smoke --verbose -j 1 --out "$fault_dir/fault-matrix.txt" > "$fault_dir/j1.txt"
 test -s "$fault_dir/fault-matrix.txt" || { echo "fault smoke: matrix missing/empty"; exit 1; }
+cargo run --release -p titancfi-bench --bin faults -- \
+    --smoke --verbose -j 4 > "$fault_dir/j4.txt"
+cmp "$fault_dir/j1.txt" "$fault_dir/j4.txt"
 rm -rf "$fault_dir"
 
 echo "==> fuzz smoke (differential oracle over a seed slice + planted-bug self-test)"

@@ -1,4 +1,4 @@
-//! The fault-injection campaign driver: runs seeded fault scenarios
+//! The fault-injection campaign driver: maps seeded fault scenarios
 //! through the worker pool and prints the per-class detection / recovery
 //! matrix.
 //!
@@ -7,7 +7,8 @@
 //! ```
 //!
 //! Exit status is nonzero if any injected fault was neither detected nor
-//! recovered, or any scenario hung (exhausted its cycle budget) — which is
+//! recovered, any scenario hung (exhausted its cycle budget), or any
+//! scenario failed outright (an error, a panic or the watchdog) — which is
 //! what the CI smoke step keys on. Scenarios are deterministic per
 //! (kernel, class, rate, seed, policy), and every invocation runs them all.
 
@@ -16,7 +17,7 @@ use std::process::ExitCode;
 
 use titancfi::FailPolicy;
 use titancfi_bench::fault_campaign::{FaultPlan, DEFAULT_KERNELS, DEFAULT_SEEDS};
-use titancfi_harness::{run_campaign, CampaignConfig, Telemetry, TelemetrySink};
+use titancfi_harness::pool::{self, WATCHDOG};
 
 const USAGE: &str = "\
 usage: faults [options]
@@ -27,7 +28,6 @@ usage: faults [options]
       --seeds LIST    comma-separated seeds (default: 11,12,13)
       --out P         also write the matrix to file P
       --verbose       include the per-scenario detail table
-      --telemetry P   write a JSONL event stream to P ('-' for stderr)
   -h, --help          this text
 ";
 
@@ -38,7 +38,6 @@ struct Options {
     seeds: Vec<u64>,
     out: Option<PathBuf>,
     verbose: bool,
-    telemetry: Option<String>,
 }
 
 /// Resolves a user-supplied kernel name to the static name in the kernel
@@ -58,7 +57,6 @@ fn parse_args() -> Result<Options, String> {
         seeds: DEFAULT_SEEDS.to_vec(),
         out: None,
         verbose: false,
-        telemetry: None,
     };
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -86,9 +84,6 @@ fn parse_args() -> Result<Options, String> {
                 opts.out = Some(PathBuf::from(args.next().ok_or("missing value for --out")?));
             }
             "--verbose" => opts.verbose = true,
-            "--telemetry" => {
-                opts.telemetry = Some(args.next().ok_or("missing value for --telemetry")?);
-            }
             "-h" | "--help" => {
                 print!("{USAGE}");
                 std::process::exit(0);
@@ -119,25 +114,13 @@ fn main() -> ExitCode {
     };
     eprintln!("faults: {} scenarios", plan.len());
 
-    let sink = match opts.telemetry.as_deref() {
-        None => TelemetrySink::Null,
-        Some("-") => TelemetrySink::Stderr,
-        Some(path) => match std::fs::File::create(path) {
-            Ok(f) => TelemetrySink::File(f),
-            Err(e) => {
-                eprintln!("faults: cannot open telemetry file {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        },
-    };
-    let telemetry = Telemetry::new(sink);
-
-    let cfg = CampaignConfig {
-        workers: opts.workers,
-        ..CampaignConfig::default()
-    };
-    let outcome = run_campaign(plan.jobs(), &cfg, &telemetry);
-    let matrix = plan.assemble(&outcome);
+    let results = pool::map(
+        plan.scenarios().to_vec(),
+        opts.workers,
+        WATCHDOG,
+        |scenario| scenario.run(),
+    );
+    let matrix = plan.assemble(&results);
     let text = matrix.render(opts.verbose);
     print!("{text}");
     if let Some(path) = &opts.out {
@@ -146,7 +129,6 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     }
-    eprint!("{}", outcome.report.render());
 
     if matrix.clean() {
         ExitCode::SUCCESS

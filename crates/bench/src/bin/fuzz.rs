@@ -1,4 +1,4 @@
-//! The differential fuzzing driver: seeds fanned through the worker pool,
+//! The differential fuzzing driver: seeds mapped through the worker pool,
 //! each seed running the full cross-configuration oracle (benign program +
 //! corruption variants) on every invocation.
 //!
@@ -6,21 +6,21 @@
 //! cargo run --release -p titancfi-bench --bin fuzz -- --seeds 0..200
 //! ```
 //!
-//! Exit status is nonzero if any seed diverged (or, under
-//! `--mutate-decode-cache`, if the planted bug was *not* caught) — which is
-//! what the CI smoke and nightly steps key on. Divergences are shrunk to a
-//! minimal program and written as self-contained reproducers.
+//! Exit status is nonzero if any seed fails: it diverged, panicked, or hung
+//! past the pool's watchdog. Under `--mutate-decode-cache` it is nonzero if
+//! the planted bug was *not* caught. The CI smoke and nightly steps key on
+//! it. Divergences are shrunk to a minimal program and written as
+//! self-contained reproducers.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use titancfi_fuzz::{
     check, shrink, write_repro, CorruptionVariant, FuzzProgram, GenOptions, MatrixConfig,
     ReproContext,
 };
-use titancfi_harness::{run_campaign, CampaignConfig, Job, JobOutput, Telemetry, TelemetrySink};
+use titancfi_harness::pool::{self, WATCHDOG};
 
 const USAGE: &str = "\
 usage: fuzz [options]
@@ -35,7 +35,6 @@ usage: fuzz [options]
                       find and shrink a divergence (oracle self-test)
       --repro-dir P   reproducer directory (default: tests/repros, or
                       target/fuzz-repros under --mutate-decode-cache)
-      --telemetry P   write a JSONL event stream to P ('-' for stderr)
   -h, --help          this text
 ";
 
@@ -46,7 +45,6 @@ struct Options {
     budget: u64,
     mutate: bool,
     repro_dir: Option<PathBuf>,
-    telemetry: Option<String>,
 }
 
 fn parse_range(v: &str) -> Result<std::ops::Range<u64>, String> {
@@ -69,7 +67,6 @@ fn parse_args() -> Result<Options, String> {
         budget: MatrixConfig::default().budget,
         mutate: false,
         repro_dir: None,
-        telemetry: None,
     };
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -98,9 +95,6 @@ fn parse_args() -> Result<Options, String> {
                     args.next().ok_or("missing value for --repro-dir")?,
                 ));
             }
-            "--telemetry" => {
-                opts.telemetry = Some(args.next().ok_or("missing value for --telemetry")?);
-            }
             "-h" | "--help" => {
                 print!("{USAGE}");
                 std::process::exit(0);
@@ -114,19 +108,19 @@ fn parse_args() -> Result<Options, String> {
 /// One seed through the oracle: benign program (must agree everywhere,
 /// zero violations) plus every corruption variant of the policy axis
 /// (each must be flagged by exactly the predicted policies everywhere).
-/// On divergence the job shrinks the program, writes a reproducer, and
+/// On divergence the seed shrinks the program, writes a reproducer, and
 /// fails with the divergence detail.
-struct FuzzSeedJob {
+struct FuzzSeed {
     seed: u64,
     matrix: MatrixConfig,
     mutate: bool,
     repro_dir: PathBuf,
 }
 
-impl FuzzSeedJob {
-    fn check_variant(&self, prog: &FuzzProgram, what: &str) -> Result<usize, String> {
+impl FuzzSeed {
+    fn check_variant(&self, prog: &FuzzProgram, what: &str) -> Result<(), String> {
         match check(prog, &self.matrix) {
-            Ok(ok) => Ok(ok.reference.stream.len()),
+            Ok(_) => Ok(()),
             Err(divergence) => {
                 let shrunk = shrink(prog, &self.matrix);
                 let detail = check(&shrunk, &self.matrix)
@@ -148,14 +142,8 @@ impl FuzzSeedJob {
             }
         }
     }
-}
 
-impl Job for FuzzSeedJob {
-    fn label(&self) -> String {
-        format!("fuzz:{}", self.seed)
-    }
-
-    fn run(&self) -> Result<JobOutput, String> {
+    fn run(&self) -> Result<(), String> {
         let benign = if self.mutate {
             FuzzProgram::generate_opts(
                 self.seed,
@@ -166,15 +154,12 @@ impl Job for FuzzSeedJob {
         } else {
             FuzzProgram::generate(self.seed)
         };
-        let logs = self.check_variant(&benign, "benign")?;
+        self.check_variant(&benign, "benign")?;
         for variant in CorruptionVariant::ALL {
             let corrupted = benign.with_corruption_variant(variant);
-            let _ = self.check_variant(&corrupted, &format!("{variant:?}"))?;
+            self.check_variant(&corrupted, &format!("{variant:?}"))?;
         }
-        Ok(JobOutput {
-            artifact: format!("seed {}: ok ({logs} logs)\n", self.seed),
-            metrics: vec![("stream_logs".to_string(), logs as f64)],
-        })
+        Ok(())
     }
 }
 
@@ -204,26 +189,14 @@ fn main() -> ExitCode {
         budget: opts.budget,
         multicore: true,
     };
-    let sink = match opts.telemetry.as_deref() {
-        None => TelemetrySink::Null,
-        Some("-") => TelemetrySink::Stderr,
-        Some(path) => match std::fs::File::create(path) {
-            Ok(f) => TelemetrySink::File(f),
-            Err(e) => {
-                eprintln!("fuzz: cannot open telemetry file {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        },
-    };
-    let telemetry = Telemetry::new(sink);
-
-    // The time box bounds dispatch, not a single job: seeds go to the pool
-    // in waves and the deadline is checked between waves.
+    // The time box bounds dispatch, not a single seed (the pool's watchdog
+    // does that): seeds go to the pool in waves and the deadline is checked
+    // between waves.
     let started = Instant::now();
     let wave = (opts.workers.max(1) * 8) as u64;
     let total = opts.seeds.end - opts.seeds.start;
     let mut dispatched = 0u64;
-    let mut divergent: Vec<String> = Vec::new();
+    let mut failed: Vec<String> = Vec::new();
     let mut checked = 0u64;
     eprintln!(
         "fuzz: seeds {}..{} ({} seeds), {} workers{}",
@@ -247,26 +220,20 @@ fn main() -> ExitCode {
         }
         let lo = opts.seeds.start + dispatched;
         let hi = (lo + wave).min(opts.seeds.end);
-        let jobs: Vec<Arc<dyn Job>> = (lo..hi)
-            .map(|seed| {
-                Arc::new(FuzzSeedJob {
-                    seed,
-                    matrix,
-                    mutate: opts.mutate,
-                    repro_dir: repro_dir.clone(),
-                }) as Arc<dyn Job>
+        let seeds: Vec<FuzzSeed> = (lo..hi)
+            .map(|seed| FuzzSeed {
+                seed,
+                matrix,
+                mutate: opts.mutate,
+                repro_dir: repro_dir.clone(),
             })
             .collect();
-        let cfg = CampaignConfig {
-            workers: opts.workers,
-            ..CampaignConfig::default()
-        };
-        let outcome = run_campaign(jobs, &cfg, &telemetry);
-        for record in &outcome.records {
+        let results = pool::map(seeds, opts.workers, WATCHDOG, |seed| seed.run());
+        for (seed, result) in (lo..hi).zip(results) {
             checked += 1;
-            if let titancfi_harness::JobStatus::Failed { error, .. } = &record.status {
-                eprintln!("fuzz: DIVERGENCE {}\n{error}", record.label);
-                divergent.push(record.label.clone());
+            if let Err(error) = result {
+                eprintln!("fuzz: seed {seed} FAILED\n{error}");
+                failed.push(seed.to_string());
             }
         }
         dispatched = hi - opts.seeds.start;
@@ -274,7 +241,7 @@ fn main() -> ExitCode {
 
     if opts.mutate {
         riscv_isa::predecode::set_mutate_skip_store_invalidation(false);
-        if divergent.is_empty() {
+        if failed.is_empty() {
             eprintln!(
                 "fuzz: planted decode-cache bug was NOT caught over {checked} seeds — oracle is blind"
             );
@@ -282,19 +249,19 @@ fn main() -> ExitCode {
         }
         eprintln!(
             "fuzz: planted bug caught on {} of {checked} seeds; reproducers in {}",
-            divergent.len(),
+            failed.len(),
             repro_dir.display()
         );
         return ExitCode::SUCCESS;
     }
-    if divergent.is_empty() {
+    if failed.is_empty() {
         eprintln!("fuzz: {checked} seeds, zero divergences");
         ExitCode::SUCCESS
     } else {
         eprintln!(
-            "fuzz: {} divergent seeds of {checked}: {}",
-            divergent.len(),
-            divergent.join(", ")
+            "fuzz: {} failed seeds of {checked}: {}",
+            failed.len(),
+            failed.join(", ")
         );
         ExitCode::FAILURE
     }

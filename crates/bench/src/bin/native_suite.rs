@@ -5,7 +5,7 @@
 //!
 //! This is the reproduction's own evaluation — complementary to `table3`,
 //! which regenerates the paper's numbers from its published statistics.
-//! `--bin campaign` runs the same kernels as parallel jobs.
+//! `--bin campaign` prints the same text after the tables and the sweep.
 
 fn main() {
     print!("{}", titancfi_bench::native_suite_text());

@@ -3,7 +3,7 @@
 //! 8-entry queue and its two firmware optimizations.
 //!
 //! Run with: `cargo run -p titancfi-bench --bin sweep`
-//! (or in parallel, as part of `--bin campaign`.)
+//! (or as part of `--bin campaign`.)
 
 fn main() {
     print!("{}", titancfi_bench::sweep_text());

@@ -1,25 +1,22 @@
-//! The fault-injection campaign: seeded fault scenarios through the
-//! `titancfi-harness` pool, aggregated into a per-class detection /
+//! The fault-injection campaign: seeded fault scenarios, mapped through
+//! the `titancfi-harness` pool, aggregated into a per-class detection /
 //! recovery matrix.
 //!
 //! Each scenario is one full-SoC co-simulation with a single fault class
 //! armed at a fixed one-in-N rate and a fixed PRNG seed, under either the
-//! fail-closed or fail-open escalation policy. The job's metrics carry the
-//! [`titancfi_faults::FaultReport`] ledger counters plus the watchdog /
-//! retry / drop totals; [`FaultPlan::assemble`] folds them into the matrix
-//! and flags any scenario whose faults went unresolved or whose run hit the
-//! cycle budget (a hang) — the `faults` binary turns either into a nonzero
-//! exit, which is what the CI smoke step keys on.
+//! fail-closed or fail-open escalation policy. Its [`ScenarioOutcome`]
+//! carries the class's [`titancfi_faults::FaultReport`] ledger counters;
+//! [`FaultPlan::assemble`] folds them into the matrix and flags any
+//! scenario whose faults went unresolved, whose run hit the cycle budget
+//! (a hang), or which failed outright — the `faults` binary turns any of
+//! these into a nonzero exit, which is what the CI smoke step keys on.
 //!
 //! Scenarios are deterministic per (kernel, class, rate, seed, policy), so
 //! the matrix is byte-identical at any worker count.
 
-use std::sync::Arc;
-
 use cva6_model::Halt;
 use titancfi::{FailPolicy, ResilienceConfig};
-use titancfi_faults::{FaultClass, FaultConfig};
-use titancfi_harness::{CampaignOutcome, Job, JobOutput};
+use titancfi_faults::{ClassStats, FaultClass, FaultConfig};
 use titancfi_soc::{SocConfig, SystemOnChip};
 use titancfi_workloads::{Kernel, KERNEL_MEM};
 
@@ -61,7 +58,8 @@ pub fn default_rate(class: FaultClass) -> u32 {
 }
 
 /// One seeded fault scenario: kernel × class × rate × seed × policy.
-pub struct FaultScenarioJob {
+#[derive(Debug, Clone, Copy)]
+pub struct FaultScenario {
     /// Kernel name (resolved via [`Kernel::by_name`]).
     pub kernel: &'static str,
     /// The single fault class armed for this run.
@@ -74,6 +72,17 @@ pub struct FaultScenarioJob {
     pub policy: FailPolicy,
 }
 
+/// What one finished scenario hands back.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ScenarioOutcome {
+    /// The armed class's ledger counters.
+    pub stats: ClassStats,
+    /// Whether the run exhausted [`FAULT_CYCLE_CAP`].
+    pub hung: bool,
+    /// The scenario's line in the verbose detail table.
+    pub line: String,
+}
+
 fn policy_name(policy: FailPolicy) -> &'static str {
     match policy {
         FailPolicy::FailClosed => "closed",
@@ -81,8 +90,10 @@ fn policy_name(policy: FailPolicy) -> &'static str {
     }
 }
 
-impl Job for FaultScenarioJob {
-    fn label(&self) -> String {
+impl FaultScenario {
+    /// Names the scenario in failure reports (`fault:fib:bit-flip:11:closed`).
+    #[must_use]
+    pub fn label(&self) -> String {
         format!(
             "fault:{}:{}:{}:{}",
             self.kernel,
@@ -92,7 +103,13 @@ impl Job for FaultScenarioJob {
         )
     }
 
-    fn run(&self) -> Result<JobOutput, String> {
+    /// Runs the scenario's co-simulation.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message if the kernel is unknown or fails to assemble, or
+    /// if the run produced no fault ledger.
+    pub fn run(&self) -> Result<ScenarioOutcome, String> {
         let kernel = Kernel::by_name(self.kernel)
             .ok_or_else(|| format!("unknown kernel {}", self.kernel))?;
         let prog = kernel
@@ -113,7 +130,7 @@ impl Job for FaultScenarioJob {
             .ok_or_else(|| "run produced no fault ledger".to_string())?;
         let stats = ledger.class(self.class);
         let hung = report.halt == Halt::Budget;
-        let artifact = format!(
+        let line = format!(
             "{:<10} {:<18} {:>4} {:>6} {:<7} {:>8} {:>8} {:>9} {:>9} {:>10}  {}\n",
             self.kernel,
             self.class.name(),
@@ -131,22 +148,7 @@ impl Job for FaultScenarioJob {
                 format!("{:?}@{}", report.halt, report.cycles)
             },
         );
-        Ok(JobOutput {
-            artifact,
-            metrics: vec![
-                ("injected".to_string(), stats.injected as f64),
-                ("detected".to_string(), stats.detected as f64),
-                ("recovered".to_string(), stats.recovered as f64),
-                ("escalated".to_string(), stats.escalated as f64),
-                ("unresolved".to_string(), stats.unresolved as f64),
-                ("hung".to_string(), u64::from(hung) as f64),
-                ("watchdogs".to_string(), report.watchdog_timeouts as f64),
-                ("retries".to_string(), report.writer_retries as f64),
-                ("dropped".to_string(), report.logs_dropped as f64),
-                ("forced".to_string(), report.forced_violations as f64),
-                ("sim_cycles".to_string(), report.cycles as f64),
-            ],
-        })
+        Ok(ScenarioOutcome { stats, hung, line })
     }
 }
 
@@ -174,9 +176,9 @@ pub struct MatrixRow {
 pub struct FaultMatrix {
     /// One aggregate row per fault class, in [`FaultClass::ALL`] order.
     pub rows: Vec<(FaultClass, MatrixRow)>,
-    /// Per-scenario detail lines, in submission order.
+    /// Per-scenario detail lines, in plan order.
     pub detail: Vec<String>,
-    /// Scenarios whose job failed outright (error string per scenario).
+    /// Scenarios that failed outright: label and message per scenario.
     pub failures: Vec<String>,
 }
 
@@ -262,7 +264,7 @@ impl FaultMatrix {
 
 /// The scenario list for one fault campaign.
 pub struct FaultPlan {
-    scenarios: Vec<Arc<FaultScenarioJob>>,
+    scenarios: Vec<FaultScenario>,
 }
 
 impl FaultPlan {
@@ -275,13 +277,13 @@ impl FaultPlan {
             for &class in &FaultClass::ALL {
                 for &seed in seeds {
                     for &policy in policies {
-                        scenarios.push(Arc::new(FaultScenarioJob {
+                        scenarios.push(FaultScenario {
                             kernel,
                             class,
                             one_in: default_rate(class),
                             seed,
                             policy,
-                        }));
+                        });
                     }
                 }
             }
@@ -300,13 +302,10 @@ impl FaultPlan {
         )
     }
 
-    /// The job list, in submission order.
+    /// The scenarios, in plan order.
     #[must_use]
-    pub fn jobs(&self) -> Vec<Arc<dyn Job>> {
-        self.scenarios
-            .iter()
-            .map(|s| Arc::clone(s) as Arc<dyn Job>)
-            .collect()
+    pub fn scenarios(&self) -> &[FaultScenario] {
+        &self.scenarios
     }
 
     /// Number of scenarios.
@@ -321,27 +320,31 @@ impl FaultPlan {
         self.scenarios.is_empty()
     }
 
-    /// Folds the pool outputs into the per-class matrix.
+    /// Folds one result per scenario, in plan order, into the per-class
+    /// matrix. An `Err` becomes a failure that names its scenario.
     #[must_use]
-    pub fn assemble(&self, outcome: &CampaignOutcome) -> FaultMatrix {
+    pub fn assemble(&self, results: &[Result<ScenarioOutcome, String>]) -> FaultMatrix {
+        assert_eq!(results.len(), self.len(), "one result per scenario");
         let mut per_class = [MatrixRow::default(); FaultClass::ALL.len()];
         let mut detail = Vec::new();
         let mut failures = Vec::new();
-        for (i, scenario) in self.scenarios.iter().enumerate() {
-            let Some(output) = outcome.output(i) else {
-                failures.push(scenario.label());
-                continue;
+        for (scenario, result) in self.scenarios.iter().zip(results) {
+            let outcome = match result {
+                Ok(outcome) => outcome,
+                Err(message) => {
+                    failures.push(format!("{}: {message}", scenario.label()));
+                    continue;
+                }
             };
             let row = &mut per_class[scenario.class.index()];
-            let count = |name: &str| output.metric(name).unwrap_or(0.0) as u64;
             row.runs += 1;
-            row.injected += count("injected");
-            row.detected += count("detected");
-            row.recovered += count("recovered");
-            row.escalated += count("escalated");
-            row.unresolved += count("unresolved");
-            row.hangs += count("hung");
-            detail.push(output.artifact.clone());
+            row.injected += outcome.stats.injected;
+            row.detected += outcome.stats.detected;
+            row.recovered += outcome.stats.recovered;
+            row.escalated += outcome.stats.escalated;
+            row.unresolved += outcome.stats.unresolved;
+            row.hangs += u64::from(outcome.hung);
+            detail.push(outcome.line.clone());
         }
         FaultMatrix {
             rows: FaultClass::ALL
@@ -362,7 +365,7 @@ mod tests {
     fn smoke_plan_covers_every_class() {
         let plan = FaultPlan::smoke();
         assert_eq!(plan.len(), FaultClass::ALL.len() * 2);
-        let mut labels: Vec<String> = plan.jobs().iter().map(|j| j.label()).collect();
+        let mut labels: Vec<String> = plan.scenarios().iter().map(FaultScenario::label).collect();
         labels.sort_unstable();
         labels.dedup();
         assert_eq!(labels.len(), plan.len(), "distinct labels");
@@ -372,6 +375,36 @@ mod tests {
     fn empty_matrix_is_not_clean() {
         let plan = FaultPlan::build(&[], &[], &[]);
         assert!(plan.is_empty());
+        assert!(!plan.assemble(&[]).clean(), "no class was injected");
+    }
+
+    #[test]
+    fn err_scenario_is_a_failure_with_its_message() {
+        let plan = FaultPlan::build(&["fib"], &[11], &[FailPolicy::FailClosed]);
+        let recovered = ScenarioOutcome {
+            stats: ClassStats {
+                injected: 1,
+                detected: 1,
+                recovered: 1,
+                ..ClassStats::default()
+            },
+            hung: false,
+            line: String::new(),
+        };
+        let mut results: Vec<_> = (0..plan.len()).map(|_| Ok(recovered.clone())).collect();
+        assert!(plan.assemble(&results).clean());
+
+        results[0] = Err("watchdog: no result after 600s".to_string());
+        let matrix = plan.assemble(&results);
+        let label = plan.scenarios()[0].label();
+        assert_eq!(
+            matrix.failures,
+            [format!("{label}: watchdog: no result after 600s")]
+        );
+        assert!(!matrix.clean());
+        assert!(matrix
+            .render(false)
+            .contains(&format!("FAILED: {label}: watchdog")));
     }
 
     #[test]

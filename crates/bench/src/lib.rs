@@ -12,13 +12,11 @@
 //! | [`table3`] | Table III — full-suite slowdown, queue depth 8 | same |
 //! | [`table4`] | Table IV — FPGA resource overhead | structural estimator |
 //!
-//! Every artifact is split into *fragment* functions (one table row, one
-//! sweep block, one kernel line) plus an `*_assemble` function that stitches
-//! fragments into the final text. The serial `tableN`/`sweep_text`/
-//! `native_suite_text` paths and the parallel [`campaign`] jobs call the
-//! same fragments, so their outputs are byte-identical by construction.
+//! The `campaign` binary maps these four, [`sweep_text`] and
+//! [`native_suite_text`] through [`titancfi_harness::pool::map`] and prints
+//! the results in order, so its output is the serial binaries' output by
+//! construction.
 
-pub mod campaign;
 pub mod fault_campaign;
 pub mod gate;
 
@@ -33,7 +31,7 @@ use titancfi_workloads::published::{
     TABLE3_QUEUE_DEPTH,
 };
 use titancfi_workloads::synthetic::trace_for;
-use titancfi_workloads::{ComparisonRow, Kernel, PublishedRow, KERNEL_MEM};
+use titancfi_workloads::KERNEL_MEM;
 
 /// A representative call commit log (used by Table I).
 #[must_use]
@@ -88,61 +86,10 @@ pub fn measured_latencies() -> [u64; 3] {
 // Table I
 // ---------------------------------------------------------------------------
 
-/// The Table I rows contributed by one firmware variant (CALL and RET,
-/// per-category breakdown plus totals), and its average check latency.
-/// This is one campaign job's worth of work.
+/// Regenerates Table I: cycles to enforce the return-address-protection
+/// policy in OpenTitan, split {IRQ, CFI} × {Logic, Mem-RoT, Mem-SoC}.
 #[must_use]
-pub fn table1_variant_rows(kind: FirmwareKind) -> (String, u64) {
-    let mut fw = FirmwareRunner::new(kind);
-    let call = fw.check(&sample_call());
-    let ret = fw.check(&sample_ret());
-    assert!(
-        !call.violation && !ret.violation,
-        "reference pair must pass"
-    );
-    let mut out = String::new();
-    for (op, m) in [("CALL", &call), ("RET", &ret)] {
-        for cat in Category::ALL {
-            let irq = m.breakdown.cell(Phase::Irq, cat);
-            let cfi = m.breakdown.cell(Phase::Cfi, cat);
-            let _ = writeln!(
-                out,
-                "{:<10} {:<5} {:<9} | {:>5} {:>5} {:>5} | {:>6} {:>6} {:>6}",
-                kind.name(),
-                op,
-                cat.to_string(),
-                irq.instructions,
-                cfi.instructions,
-                irq.instructions + cfi.instructions,
-                irq.cycles,
-                cfi.cycles,
-                irq.cycles + cfi.cycles,
-            );
-        }
-        let irq = m.breakdown.phase_total(Phase::Irq);
-        let cfi = m.breakdown.phase_total(Phase::Cfi);
-        let _ = writeln!(
-            out,
-            "{:<10} {:<5} {:<9} | {:>5} {:>5} {:>5} | {:>6} {:>6} {:>6}   latency {}",
-            kind.name(),
-            op,
-            "TOT",
-            irq.instructions,
-            cfi.instructions,
-            irq.instructions + cfi.instructions,
-            irq.cycles,
-            cfi.cycles,
-            irq.cycles + cfi.cycles,
-            m.latency,
-        );
-    }
-    (out, (call.latency + ret.latency) / 2)
-}
-
-/// Stitches per-variant row blocks (in [`FirmwareKind::ALL`] order) and the
-/// measured latencies into the full Table I text.
-#[must_use]
-pub fn table1_assemble(variant_rows: &[String], latencies: [u64; 3]) -> String {
+pub fn table1() -> String {
     let mut out = String::new();
     let _ = writeln!(
         out,
@@ -154,8 +101,44 @@ pub fn table1_assemble(variant_rows: &[String], latencies: [u64; 3]) -> String {
         "Variant", "Op.", "", "I.IRQ", "I.CFI", "I.TOT", "C.IRQ", "C.CFI", "C.TOT"
     );
     let _ = writeln!(out, "{}", "-".repeat(78));
-    for rows in variant_rows {
-        out.push_str(rows);
+    let mut latencies = Vec::new();
+    for (kind, call, ret) in measure_all_variants() {
+        for (op, m) in [("CALL", &call), ("RET", &ret)] {
+            for cat in Category::ALL {
+                let irq = m.breakdown.cell(Phase::Irq, cat);
+                let cfi = m.breakdown.cell(Phase::Cfi, cat);
+                let _ = writeln!(
+                    out,
+                    "{:<10} {:<5} {:<9} | {:>5} {:>5} {:>5} | {:>6} {:>6} {:>6}",
+                    kind.name(),
+                    op,
+                    cat.to_string(),
+                    irq.instructions,
+                    cfi.instructions,
+                    irq.instructions + cfi.instructions,
+                    irq.cycles,
+                    cfi.cycles,
+                    irq.cycles + cfi.cycles,
+                );
+            }
+            let irq = m.breakdown.phase_total(Phase::Irq);
+            let cfi = m.breakdown.phase_total(Phase::Cfi);
+            let _ = writeln!(
+                out,
+                "{:<10} {:<5} {:<9} | {:>5} {:>5} {:>5} | {:>6} {:>6} {:>6}   latency {}",
+                kind.name(),
+                op,
+                "TOT",
+                irq.instructions,
+                cfi.instructions,
+                irq.instructions + cfi.instructions,
+                irq.cycles,
+                cfi.cycles,
+                irq.cycles + cfi.cycles,
+                m.latency,
+            );
+        }
+        latencies.push((call.latency + ret.latency) / 2);
     }
     let _ = writeln!(out);
     let _ = writeln!(
@@ -168,19 +151,6 @@ pub fn table1_assemble(variant_rows: &[String], latencies: [u64; 3]) -> String {
         "Paper reference:                IRQ {LATENCY_IRQ} / Polling {LATENCY_POLL} / Optimized {LATENCY_OPT} cycles"
     );
     out
-}
-
-/// Regenerates Table I: cycles to enforce the return-address-protection
-/// policy in OpenTitan, split {IRQ, CFI} × {Logic, Mem-RoT, Mem-SoC}.
-#[must_use]
-pub fn table1() -> String {
-    let parts: Vec<(String, u64)> = FirmwareKind::ALL
-        .iter()
-        .map(|&kind| table1_variant_rows(kind))
-        .collect();
-    let latencies = [parts[0].1, parts[1].1, parts[2].1];
-    let rows: Vec<String> = parts.into_iter().map(|(rows, _)| rows).collect();
-    table1_assemble(&rows, latencies)
 }
 
 // ---------------------------------------------------------------------------
@@ -197,7 +167,7 @@ pub fn simulated_slowdowns(row: &published::PublishedRow, depth: usize) -> [f64;
 }
 
 /// Deterministic per-benchmark seed (stable across runs; FNV-1a over the
-/// benchmark name, same function the campaign descriptors record).
+/// benchmark name).
 #[must_use]
 pub fn xtitan_seed(name: &str) -> u64 {
     name.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
@@ -205,42 +175,10 @@ pub fn xtitan_seed(name: &str) -> u64 {
     })
 }
 
-/// One Table II data line — the fragment a `table2` campaign job computes.
+/// Regenerates Table II: runtime slowdown at queue depth 1 vs the
+/// published DExIE and FIXER numbers.
 #[must_use]
-pub fn table2_row_line(cmp: &ComparisonRow) -> String {
-    let row = published::table3_row(cmp.name).expect("trace stats");
-    let trace = trace_for(row, xtitan_seed(row.name));
-    let got = simulated_slowdowns(row, TABLE2_QUEUE_DEPTH);
-    let competitor = cmp.competitor.map_or_else(
-        || "n.a.".to_string(),
-        |v| format!("{v:.0} ({})", cmp.competitor_name),
-    );
-    // Our mechanistic model of the same competitor on the same trace.
-    let model = match cmp.competitor_name {
-        "DExIE" => DexieModel::default().slowdown_percent(&trace),
-        _ => FixerModel::default().slowdown_percent(&trace),
-    };
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "{:<15} {:>10} {:>7.0} | {:>7.0} {:>7.0} {:>7.0} | {:>7.0} {:>7.0} {:>7.0}",
-        cmp.name,
-        competitor,
-        model,
-        got[0],
-        got[1],
-        got[2],
-        cmp.titancfi[0],
-        cmp.titancfi[1],
-        cmp.titancfi[2],
-    );
-    out
-}
-
-/// Stitches per-row Table II lines (in [`TABLE2`] order) into the full
-/// table text.
-#[must_use]
-pub fn table2_assemble(rows: &[String]) -> String {
+pub fn table2() -> String {
     let mut out = String::new();
     let _ = writeln!(
         out,
@@ -253,8 +191,32 @@ pub fn table2_assemble(rows: &[String]) -> String {
         "Benchmark", "Published", "Model", "Opt.", "Poll.", "IRQ", "p.Opt", "p.Poll", "p.IRQ"
     );
     let _ = writeln!(out, "{}", "-".repeat(92));
-    for line in rows {
-        out.push_str(line);
+    for cmp in &TABLE2 {
+        let row = published::table3_row(cmp.name).expect("trace stats");
+        let trace = trace_for(row, xtitan_seed(row.name));
+        let got = simulated_slowdowns(row, TABLE2_QUEUE_DEPTH);
+        let competitor = cmp.competitor.map_or_else(
+            || "n.a.".to_string(),
+            |v| format!("{v:.0} ({})", cmp.competitor_name),
+        );
+        // Our mechanistic model of the same competitor on the same trace.
+        let model = match cmp.competitor_name {
+            "DExIE" => DexieModel::default().slowdown_percent(&trace),
+            _ => FixerModel::default().slowdown_percent(&trace),
+        };
+        let _ = writeln!(
+            out,
+            "{:<15} {:>10} {:>7.0} | {:>7.0} {:>7.0} {:>7.0} | {:>7.0} {:>7.0} {:>7.0}",
+            cmp.name,
+            competitor,
+            model,
+            got[0],
+            got[1],
+            got[2],
+            cmp.titancfi[0],
+            cmp.titancfi[1],
+            cmp.titancfi[2],
+        );
     }
     let _ = writeln!(
         out,
@@ -277,18 +239,10 @@ pub fn table2_assemble(rows: &[String]) -> String {
     out
 }
 
-/// Regenerates Table II: runtime slowdown at queue depth 1 vs the
-/// published DExIE and FIXER numbers.
+/// Regenerates Table III: the full EmBench-IoT + RISC-V-Tests sweep at
+/// queue depth 8.
 #[must_use]
-pub fn table2() -> String {
-    let rows: Vec<String> = TABLE2.iter().map(table2_row_line).collect();
-    table2_assemble(&rows)
-}
-
-/// One Table III data line — the fragment a `table3` campaign job computes.
-#[must_use]
-pub fn table3_row_line(row: &PublishedRow) -> String {
-    let got = simulated_slowdowns(row, TABLE3_QUEUE_DEPTH);
+pub fn table3() -> String {
     let fmt_sd = |v: f64| {
         if v < 0.5 {
             "-".to_string()
@@ -296,28 +250,6 @@ pub fn table3_row_line(row: &PublishedRow) -> String {
             format!("{v:.0}")
         }
     };
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "{:<16} {:>10} {:>9} | {:>7} {:>7} {:>7} | {:>7} {:>7} {:>7}",
-        row.name,
-        row.cycles,
-        row.cf,
-        fmt_sd(got[0]),
-        fmt_sd(got[1]),
-        fmt_sd(got[2]),
-        fmt_sd(row.slowdown_opt),
-        fmt_sd(row.slowdown_poll),
-        fmt_sd(row.slowdown_irq),
-    );
-    out
-}
-
-/// Stitches per-row Table III lines (one per [`TABLE3`] entry, in order)
-/// into the full table text, inserting the suite separators.
-#[must_use]
-pub fn table3_assemble(rows: &[String]) -> String {
-    assert_eq!(rows.len(), TABLE3.len(), "one fragment per published row");
     let mut out = String::new();
     let _ = writeln!(
         out,
@@ -330,12 +262,25 @@ pub fn table3_assemble(rows: &[String]) -> String {
     );
     let _ = writeln!(out, "{}", "-".repeat(95));
     let mut suite = None;
-    for (row, line) in TABLE3.iter().zip(rows) {
+    for row in &TABLE3 {
         if suite != Some(row.suite) {
             suite = Some(row.suite);
             let _ = writeln!(out, "--- {} ---", row.suite.name());
         }
-        out.push_str(line);
+        let got = simulated_slowdowns(row, TABLE3_QUEUE_DEPTH);
+        let _ = writeln!(
+            out,
+            "{:<16} {:>10} {:>9} | {:>7} {:>7} {:>7} | {:>7} {:>7} {:>7}",
+            row.name,
+            row.cycles,
+            row.cf,
+            fmt_sd(got[0]),
+            fmt_sd(got[1]),
+            fmt_sd(got[2]),
+            fmt_sd(row.slowdown_opt),
+            fmt_sd(row.slowdown_poll),
+            fmt_sd(row.slowdown_irq),
+        );
     }
     let _ = writeln!(
         out,
@@ -346,14 +291,6 @@ pub fn table3_assemble(rows: &[String]) -> String {
         "calibration target; Poll./Opt. are predictions of the queue model.)"
     );
     out
-}
-
-/// Regenerates Table III: the full EmBench-IoT + RISC-V-Tests sweep at
-/// queue depth 8.
-#[must_use]
-pub fn table3() -> String {
-    let rows: Vec<String> = TABLE3.iter().map(table3_row_line).collect();
-    table3_assemble(&rows)
 }
 
 /// Stall-cause attribution for every Table III benchmark: *why* a depth-1
@@ -487,45 +424,35 @@ pub const SWEEP_DEPTHS: [usize; 6] = [1, 2, 4, 8, 16, 32];
 /// The fixed calibration seed the sweep uses for every benchmark.
 pub const SWEEP_SEED: u64 = 0x5eed;
 
-/// One benchmark's sweep block (header line, column header, one line per
-/// depth, trailing blank line) — the fragment a `sweep` campaign job
-/// computes.
+/// The full design-space sweep: queue depth × check latency on the
+/// heaviest published benchmarks.
 #[must_use]
-pub fn sweep_block(name: &str) -> String {
-    let row = published::table3_row(name).expect("published row");
-    let trace = trace_for(row, SWEEP_SEED);
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "{name}  ({} cycles, {} control-flow events)",
-        row.cycles, row.cf
-    );
-    let _ = writeln!(
-        out,
-        "  {:>8} {:>10} {:>10} {:>10}",
-        "depth", "IRQ(267)", "Poll(112)", "Opt(73)"
-    );
-    for depth in SWEEP_DEPTHS {
-        let irq = simulate(&trace, LATENCY_IRQ, depth).slowdown_percent();
-        let poll = simulate(&trace, LATENCY_POLL, depth).slowdown_percent();
-        let opt = simulate(&trace, LATENCY_OPT, depth).slowdown_percent();
-        let _ = writeln!(out, "  {depth:>8} {irq:>10.1} {poll:>10.1} {opt:>10.1}");
-    }
-    let _ = writeln!(out);
-    out
-}
-
-/// Stitches per-benchmark sweep blocks (in [`SWEEP_BENCHMARKS`] order) into
-/// the full sweep text.
-#[must_use]
-pub fn sweep_assemble(blocks: &[String]) -> String {
+pub fn sweep_text() -> String {
     let mut out = String::new();
     let _ = writeln!(
         out,
         "Queue-depth x latency design space (slowdown %, calibrated traces)\n"
     );
-    for block in blocks {
-        out.push_str(block);
+    for name in SWEEP_BENCHMARKS {
+        let row = published::table3_row(name).expect("published row");
+        let trace = trace_for(row, SWEEP_SEED);
+        let _ = writeln!(
+            out,
+            "{name}  ({} cycles, {} control-flow events)",
+            row.cycles, row.cf
+        );
+        let _ = writeln!(
+            out,
+            "  {:>8} {:>10} {:>10} {:>10}",
+            "depth", "IRQ(267)", "Poll(112)", "Opt(73)"
+        );
+        for depth in SWEEP_DEPTHS {
+            let irq = simulate(&trace, LATENCY_IRQ, depth).slowdown_percent();
+            let poll = simulate(&trace, LATENCY_POLL, depth).slowdown_percent();
+            let opt = simulate(&trace, LATENCY_OPT, depth).slowdown_percent();
+            let _ = writeln!(out, "  {depth:>8} {irq:>10.1} {poll:>10.1} {opt:>10.1}");
+        }
+        let _ = writeln!(out);
     }
     let _ = writeln!(
         out,
@@ -546,17 +473,6 @@ pub fn sweep_assemble(blocks: &[String]) -> String {
     out
 }
 
-/// The full design-space sweep: queue depth × check latency on the
-/// heaviest published benchmarks.
-#[must_use]
-pub fn sweep_text() -> String {
-    let blocks: Vec<String> = SWEEP_BENCHMARKS
-        .iter()
-        .map(|name| sweep_block(name))
-        .collect();
-    sweep_assemble(&blocks)
-}
-
 // ---------------------------------------------------------------------------
 // Native kernel suite (the `native_suite` binary's content)
 // ---------------------------------------------------------------------------
@@ -564,27 +480,16 @@ pub fn sweep_text() -> String {
 /// Cycle cap for one native kernel run.
 pub const NATIVE_CYCLE_CAP: u64 = 500_000_000;
 
-/// Runs one kernel on the CVA6 model and renders its suite line; also
-/// returns the simulated cycle count (the campaign's throughput metric).
+/// The full native-suite sweep: every kernel executed on the CVA6 model
+/// and its commit trace replayed through the queue model.
 ///
-/// # Errors
+/// # Panics
 ///
-/// Returns a message if the kernel fails to assemble or does not reach its
-/// breakpoint within [`NATIVE_CYCLE_CAP`] cycles.
-pub fn native_kernel_line(kernel: &Kernel) -> Result<(String, u64), String> {
+/// Panics if any kernel fails to assemble or halt — every kernel in the
+/// repository is expected to run to its breakpoint.
+#[must_use]
+pub fn native_suite_text() -> String {
     use cva6_model::{Cva6Core, Halt, TimingConfig};
-    let prog = kernel
-        .program()
-        .map_err(|e| format!("{}: {e}", kernel.name))?;
-    let mut core = Cva6Core::new(&prog, KERNEL_MEM, TimingConfig::default());
-    let (commits, halt) = core.run(NATIVE_CYCLE_CAP);
-    if halt != Halt::Breakpoint {
-        return Err(format!("{} did not halt: {halt:?}", kernel.name));
-    }
-    let trace = Trace::from_commits(&commits, core.cycle());
-    let density = trace.cf_count() as f64 * 1000.0 / core.cycle() as f64;
-    let sd = [LATENCY_OPT, LATENCY_POLL, LATENCY_IRQ]
-        .map(|lat| simulate(&trace, lat, TABLE3_QUEUE_DEPTH).slowdown_percent());
     let fmt = |v: f64| {
         if v < 0.5 {
             "-".to_string()
@@ -592,25 +497,6 @@ pub fn native_kernel_line(kernel: &Kernel) -> Result<(String, u64), String> {
             format!("{v:.0}")
         }
     };
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "{:<14} {:>10} {:>8} {:>9.2} | {:>7} {:>7} {:>7}",
-        kernel.name,
-        core.cycle(),
-        trace.cf_count(),
-        density,
-        fmt(sd[0]),
-        fmt(sd[1]),
-        fmt(sd[2]),
-    );
-    Ok((out, core.cycle()))
-}
-
-/// Stitches per-kernel lines (in [`titancfi_workloads::all_kernels`] order)
-/// into the full native-suite text.
-#[must_use]
-pub fn native_assemble(lines: &[String]) -> String {
     let mut out = String::new();
     let _ = writeln!(
         out,
@@ -622,8 +508,32 @@ pub fn native_assemble(lines: &[String]) -> String {
         "Kernel", "Cycles", "CF", "CF/kcyc", "Opt.", "Poll.", "IRQ"
     );
     let _ = writeln!(out, "{}", "-".repeat(74));
-    for line in lines {
-        out.push_str(line);
+    for kernel in titancfi_workloads::all_kernels() {
+        let prog = kernel
+            .program()
+            .unwrap_or_else(|e| panic!("{}: {e}", kernel.name));
+        let mut core = Cva6Core::new(&prog, KERNEL_MEM, TimingConfig::default());
+        let (commits, halt) = core.run(NATIVE_CYCLE_CAP);
+        assert!(
+            halt == Halt::Breakpoint,
+            "{} did not halt: {halt:?}",
+            kernel.name
+        );
+        let trace = Trace::from_commits(&commits, core.cycle());
+        let density = trace.cf_count() as f64 * 1000.0 / core.cycle() as f64;
+        let sd = [LATENCY_OPT, LATENCY_POLL, LATENCY_IRQ]
+            .map(|lat| simulate(&trace, lat, TABLE3_QUEUE_DEPTH).slowdown_percent());
+        let _ = writeln!(
+            out,
+            "{:<14} {:>10} {:>8} {:>9.2} | {:>7} {:>7} {:>7}",
+            kernel.name,
+            core.cycle(),
+            trace.cf_count(),
+            density,
+            fmt(sd[0]),
+            fmt(sd[1]),
+            fmt(sd[2]),
+        );
     }
     let _ = writeln!(
         out,
@@ -634,20 +544,6 @@ pub fn native_assemble(lines: &[String]) -> String {
         "crates/workloads); traces come from actual execution on the CVA6 model."
     );
     out
-}
-
-/// The full native-suite sweep, run serially.
-///
-/// # Panics
-///
-/// Panics if any kernel fails to assemble or halt — every kernel in the
-/// repository is expected to run to its breakpoint.
-#[must_use]
-pub fn native_suite_text() -> String {
-    let lines: Vec<String> = titancfi_workloads::all_kernels()
-        .map(|k| native_kernel_line(k).expect("kernel runs").0)
-        .collect();
-    native_assemble(&lines)
 }
 
 #[cfg(test)]

@@ -229,19 +229,6 @@ impl<B: Bus> Cva6Core<B> {
         self.hart.reg(r)
     }
 
-    /// Direct memory read (for checking benchmark results).
-    ///
-    /// # Errors
-    ///
-    /// Returns the fault if `addr` is outside RAM.
-    pub fn read_mem(
-        &mut self,
-        addr: u64,
-        width: riscv_isa::MemWidth,
-    ) -> Result<u64, riscv_isa::MemFault> {
-        self.mem.read(addr, width)
-    }
-
     /// Injects `cycles` of commit-stage stall (CFI queue back-pressure).
     pub fn stall(&mut self, cycles: u64) {
         self.cycle += cycles;

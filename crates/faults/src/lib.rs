@@ -6,7 +6,7 @@
 //! fault model: a [`FaultInjector`] that components on the CFI path query at
 //! well-defined injection sites (AXI beats, doorbell rings, firmware check
 //! entry), driven by the in-repo xoshiro256** PRNG from a fixed seed so
-//! every campaign run is bit-reproducible and cacheable.
+//! every campaign run is bit-reproducible.
 //!
 //! The injector doubles as a *ledger*: every fault it hands out is tracked
 //! through the resilience machinery's feedback calls
@@ -57,7 +57,7 @@ impl FaultClass {
         FaultClass::FirmwareTrap,
     ];
 
-    /// Stable kebab-case name (used in campaign descriptors and the matrix).
+    /// Stable kebab-case name (used in scenario labels and the matrix).
     #[must_use]
     pub fn name(self) -> &'static str {
         match self {

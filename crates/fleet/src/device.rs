@@ -124,14 +124,12 @@ impl SocDeviceConfig {
             mem_size: self.mem_size,
             faults: self.faults,
             // Fleet devices always ride the fast path: predecoded
-            // instruction caches plus block-compiled stepping, pinned on
-            // explicitly rather than inherited from the process-wide
-            // default (a test flipping the global toggle must not quietly
-            // put a whole fleet back on strict stepping). A latency
-            // collector keeps block dispatch; a fault injector makes
-            // `run_slice` fall back to per-cycle scheduling — the flags are
-            // preconditions, not overrides, so faulted devices stay
-            // cycle-exact per commit.
+            // instruction caches plus block-compiled stepping, stated here
+            // so the fleet's throughput does not hinge on what
+            // `SocConfig::default()` picks. A latency collector keeps
+            // block dispatch; a fault injector makes `run_slice` fall back
+            // to per-cycle scheduling — the flags are preconditions, not
+            // overrides, so faulted devices stay cycle-exact per commit.
             fast_path: true,
             block_compile: true,
             // Fleet workloads are a few hundred instructions, not kernels;

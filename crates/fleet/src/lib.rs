@@ -26,9 +26,8 @@
 //!   ([`titancfi_harness::StealQueues`]) running devices in cache-friendly
 //!   turn bursts, *sharded* poll-coupled ingest (each worker verifies the
 //!   frames of the slots it just ran plus a fixed partition it owns),
-//!   aggregation into [`titancfi_obs::SimMetrics`], periodic JSONL
-//!   snapshots, and a drain-and-shutdown protocol whose invariant is
-//!   frames-in == frames-out.
+//!   periodic JSONL snapshots, and a drain-and-shutdown protocol whose
+//!   invariant is frames-in == frames-out.
 //!
 //! The `titancfi-bench` crate's `fleet` binary sweeps device counts over
 //! this service to produce the devices × commit-logs/sec saturation curve

@@ -49,7 +49,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use titancfi::wire::{Frame, SeqTracker};
 use titancfi_harness::{Json, StealQueues};
-use titancfi_obs::{Histogram, SimMetrics};
+use titancfi_obs::Histogram;
 
 /// Fleet-wide configuration.
 pub struct FleetConfig {
@@ -147,9 +147,6 @@ pub struct FleetReport {
     pub wall_seconds: f64,
     /// Transport counters summed over every slot's ring.
     pub transport: TransportStats,
-    /// The aggregated metrics registry (counters mirrored above plus
-    /// per-device owned counters).
-    pub metrics: SimMetrics,
     /// Final per-device health scores (0–100).
     pub health_scores: Vec<u8>,
     /// Every alert the health monitor raised, in fire order.
@@ -593,38 +590,6 @@ where
     let wall_seconds = run_started.elapsed().as_secs_f64();
     let (frames_ok, frames_corrupt, seq_duplicates, seq_gaps) = ingest.totals();
 
-    // Fold everything into the metrics registry: fleet-wide static names
-    // plus one owned counter per device slot.
-    let mut metrics = SimMetrics::new();
-    metrics.add("fleet.frames.sent", frames_sent);
-    metrics.add("fleet.frames.ok", frames_ok);
-    metrics.add("fleet.frames.corrupt", frames_corrupt);
-    metrics.add("fleet.seq.duplicates", seq_duplicates);
-    metrics.add("fleet.seq.gaps", seq_gaps);
-    metrics.add("fleet.send.stalls", send_stalls);
-    metrics.add("fleet.steals", queues.steals());
-    metrics.add("fleet.turns", total_turns.load(Ordering::Relaxed));
-    metrics.add("fleet.sim.cycles", sim_cycles.load(Ordering::Relaxed));
-    metrics.add("fleet.runs.completed", supervision.completed_runs);
-    metrics.add("fleet.devices.escalated.hung", supervision.escalated_hung);
-    metrics.add(
-        "fleet.devices.escalated.trapped",
-        supervision.escalated_trapped,
-    );
-    metrics.add("fleet.devices.respawned", supervision.respawns);
-    metrics.add("fleet.devices.failed", supervision.permanent_failures);
-    metrics.add("fleet.violations", supervision.violations);
-    metrics.add("fleet.alerts", monitor.alerts().len() as u64);
-    for (slot, mirror) in ingest.mirrors.iter().enumerate() {
-        metrics.add_owned(
-            format!("fleet.device.{slot}.frames"),
-            mirror.frames_ok.load(Ordering::Relaxed),
-        );
-    }
-    for (slot, &score) in monitor.scores().iter().enumerate() {
-        metrics.add_owned(format!("fleet.device.{slot}.health"), u64::from(score));
-    }
-
     let frames_lost = frames_sent.saturating_sub(frames_ok + frames_corrupt);
     let final_sweeps = ingest.sweeps.load(Ordering::Relaxed);
     sink.write(&snapshot_line(
@@ -658,7 +623,6 @@ where
         boot_seconds,
         wall_seconds,
         transport,
-        metrics,
         health_scores: monitor.scores().to_vec(),
         alerts: monitor.alerts().to_vec(),
         latency_e2e,
@@ -806,19 +770,6 @@ mod tests {
         );
         assert!(report.supervision.completed_runs > 0, "runs recycle");
         assert_eq!(report.supervision.permanent_failures, 0);
-        assert_eq!(
-            report.metrics.counter("fleet.frames.ok"),
-            report.frames_ok,
-            "registry mirrors the report"
-        );
-        // Every slot contributed and has an owned counter.
-        let per_device: u64 = report
-            .metrics
-            .owned_counters()
-            .filter(|(name, _)| name.ends_with(".frames"))
-            .map(|(_, v)| v)
-            .sum();
-        assert_eq!(per_device, report.frames_ok);
         // A clean fleet: perfect health, zero alerts.
         assert!(report.health_scores.iter().all(|&s| s == 100));
         assert!(report.alerts.is_empty(), "clean fleet must not page");

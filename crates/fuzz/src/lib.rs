@@ -29,9 +29,10 @@
 //! * [`repro`] — writes the shrunk case as a self-contained
 //!   `.repro.rs`-style file into `tests/repros/`.
 //!
-//! The `titancfi-bench --bin fuzz` binary fans seeds through the
-//! `titancfi-harness` pool, re-checking every seed on every run, and is
-//! wired into CI as a time-boxed smoke.
+//! The `titancfi-bench --bin fuzz` binary maps seeds through
+//! `titancfi_harness::pool::map`, re-checking every seed on every run; a
+//! seed fails on a divergence, a panic or the pool's watchdog. CI runs it
+//! as a time-boxed smoke.
 
 pub mod gen;
 pub mod oracle;

@@ -1,4 +1,5 @@
-//! Hand-rolled minimal JSON — the telemetry and benchmark-report format.
+//! Hand-rolled minimal JSON — the metrics, snapshot and benchmark-report
+//! format.
 //!
 //! The workspace is dependency-free, so instead of serde this module
 //! implements exactly the subset the harness needs: a [`Json`] value tree,

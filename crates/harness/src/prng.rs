@@ -62,11 +62,6 @@ impl Xoshiro256 {
         out
     }
 
-    /// Next 32 uniformly distributed bits (upper half — the good bits).
-    pub fn next_u32(&mut self) -> u32 {
-        (self.next_u64() >> 32) as u32
-    }
-
     /// Uniform value in `[0, n)` via Lemire-style widening multiply with a
     /// rejection pass to kill modulo bias.
     ///

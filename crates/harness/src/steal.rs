@@ -1,11 +1,11 @@
 //! A sharded work-stealing scheduler.
 //!
-//! The campaign [`pool`](crate::pool) runs *finite* jobs off one shared
-//! FIFO; a fleet of long-lived devices needs the complementary shape —
-//! items that re-enter the queue after every turn, spread over per-worker
-//! shards so the common case is an uncontended local pop, with idle
-//! workers *stealing* from the most loaded shard so one hot shard (a few
-//! expensive devices hashed together) cannot idle the rest of the pool.
+//! [`pool::map`](crate::pool::map) runs a *finite* list of items off one
+//! shared queue; a fleet of long-lived devices needs the complementary
+//! shape — items that re-enter the queue after every turn, spread over
+//! per-worker shards so the common case is an uncontended local pop, with
+//! idle workers *stealing* from the most loaded shard so one hot shard (a
+//! few expensive devices hashed together) cannot idle the rest of the pool.
 //!
 //! The structure is deliberately simple: one `Mutex<VecDeque>` per shard.
 //! Local pops take the front of their own shard; steals take a batch of

@@ -285,6 +285,10 @@ mod tests {
     }
 
     impl Bus for TestBus {
+        fn fetch(&mut self, addr: u64) -> Result<u32, MemFault> {
+            self.rot.fetch(addr).or_else(|_| self.soc.fetch(addr))
+        }
+
         fn read(&mut self, addr: u64, width: MemWidth) -> Result<u64, MemFault> {
             self.rot
                 .read(addr, width)

@@ -3,8 +3,8 @@
 //! Counter and histogram names are `&'static str` so the hot-path record
 //! call is a `BTreeMap` lookup on a pointer-sized key with no allocation.
 //! `BTreeMap` (not hashing) keeps iteration — and therefore every rendered
-//! or serialized summary — deterministically ordered, which the campaign
-//! determinism guarantees rely on.
+//! or serialized summary — deterministically ordered, which the trace
+//! binary's byte-identical `--metrics` output relies on.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -208,9 +208,6 @@ impl Histogram {
 pub struct SimMetrics {
     counters: BTreeMap<&'static str, u64>,
     histograms: BTreeMap<&'static str, Histogram>,
-    /// Dynamically-named counters (`fleet.device.17.frames` and friends).
-    /// Kept separate so the hot static-name path stays allocation-free.
-    owned: BTreeMap<String, u64>,
 }
 
 impl SimMetrics {
@@ -225,25 +222,10 @@ impl SimMetrics {
         *self.counters.entry(name).or_insert(0) += delta;
     }
 
-    /// Reads a counter (0 when never touched). Looks at the static-name
-    /// registry first, then at the owned-name one, so readers need not know
-    /// how a counter was recorded.
+    /// Reads a counter (0 when never touched).
     #[must_use]
     pub fn counter(&self, name: &str) -> u64 {
-        self.counters
-            .get(name)
-            .or_else(|| self.owned.get(name))
-            .copied()
-            .unwrap_or(0)
-    }
-
-    /// Adds `delta` to a dynamically-named counter — the per-device
-    /// namespaces (`fleet.device.<id>.<metric>`) a fleet aggregates, where
-    /// names cannot be `&'static str`. Owned and static counters share one
-    /// JSON/render namespace; a clash merges into the static entry on
-    /// output.
-    pub fn add_owned(&mut self, name: impl Into<String>, delta: u64) {
-        *self.owned.entry(name.into()).or_insert(0) += delta;
+        self.counters.get(name).copied().unwrap_or(0)
     }
 
     /// Records into a histogram, creating it with [`Histogram::cycles`]
@@ -278,37 +260,18 @@ impl SimMetrics {
         self.counters.iter().map(|(&k, &v)| (k, v))
     }
 
-    /// All dynamically-named counters, name-ordered.
-    pub fn owned_counters(&self) -> impl Iterator<Item = (&str, u64)> + '_ {
-        self.owned.iter().map(|(k, &v)| (k.as_str(), v))
-    }
-
-    /// Static and owned counters folded into one name-ordered map (clashes
-    /// summed) — the view every serialized output uses.
-    fn merged_counters(&self) -> BTreeMap<String, u64> {
-        let mut all: BTreeMap<String, u64> = self
-            .counters
-            .iter()
-            .map(|(&k, &v)| (k.to_string(), v))
-            .collect();
-        for (k, &v) in &self.owned {
-            *all.entry(k.clone()).or_insert(0) += v;
-        }
-        all
-    }
-
     /// The registry as one JSON object (`{"counters": {...},
-    /// "histograms": {...}}`) — the shape the trace binary embeds and the
-    /// harness telemetry merges.
+    /// "histograms": {...}}`) — the shape the trace binary writes with
+    /// `--metrics`.
     #[must_use]
     pub fn to_json(&self) -> Json {
         Json::obj(vec![
             (
                 "counters",
                 Json::Obj(
-                    self.merged_counters()
-                        .into_iter()
-                        .map(|(k, v)| (k, Json::Num(v as f64)))
+                    self.counters
+                        .iter()
+                        .map(|(&k, &v)| (k.to_string(), Json::Num(v as f64)))
                         .collect(),
                 ),
             ),
@@ -328,9 +291,9 @@ impl SimMetrics {
     #[must_use]
     pub fn render(&self) -> String {
         let mut out = String::new();
-        if !self.counters.is_empty() || !self.owned.is_empty() {
+        if !self.counters.is_empty() {
             let _ = writeln!(out, "counters:");
-            for (name, value) in self.merged_counters() {
+            for (name, value) in &self.counters {
                 let _ = writeln!(out, "  {name:<40} {value:>12}");
             }
         }
@@ -516,30 +479,6 @@ mod tests {
                 .and_then(Json::as_num),
             Some(1.0)
         );
-    }
-
-    #[test]
-    fn owned_counters_share_the_namespace() {
-        let mut m = SimMetrics::new();
-        m.add("fleet.frames", 5);
-        m.add_owned(format!("fleet.device.{}.frames", 17), 3);
-        m.add_owned("fleet.frames".to_string(), 2); // clash merges on output
-        assert_eq!(m.counter("fleet.device.17.frames"), 3);
-        assert_eq!(m.owned_counters().count(), 2);
-        let json = m.to_json();
-        let counters = json.get("counters").expect("counters object");
-        assert_eq!(
-            counters
-                .get("fleet.device.17.frames")
-                .and_then(Json::as_num),
-            Some(3.0)
-        );
-        assert_eq!(
-            counters.get("fleet.frames").and_then(Json::as_num),
-            Some(7.0),
-            "static + owned clash sums on output"
-        );
-        assert!(m.render().contains("fleet.device.17.frames"));
     }
 
     #[test]

@@ -4,7 +4,7 @@ use crate::latency::LatencySpans;
 use crate::metrics::SimMetrics;
 use crate::probe::{Probe, RetireSample, Track};
 use crate::profiler::FirmwareProfiler;
-use crate::timeline::{Timeline, TimelineConfig};
+use crate::timeline::Timeline;
 use std::collections::BTreeMap;
 
 /// A [`Probe`] that records into all backends: the metric registry, the
@@ -28,15 +28,6 @@ impl Recorder {
     #[must_use]
     pub fn new() -> Recorder {
         Recorder::default()
-    }
-
-    /// A recorder with an explicit timeline event cap.
-    #[must_use]
-    pub fn with_timeline_config(config: TimelineConfig) -> Recorder {
-        Recorder {
-            timeline: Timeline::with_config(config),
-            ..Recorder::default()
-        }
     }
 
     /// Enables the firmware profiler, resolving PCs against `symbols`

@@ -105,9 +105,6 @@ pub struct Sha256 {
     buffer: [u8; BLOCK_LEN],
     buffered: usize,
     length: u64,
-    /// Number of 64-byte blocks compressed (drives the accelerator's
-    /// cycle model).
-    blocks: u64,
 }
 
 impl Default for Sha256 {
@@ -125,7 +122,6 @@ impl Sha256 {
             buffer: [0; BLOCK_LEN],
             buffered: 0,
             length: 0,
-            blocks: 0,
         }
     }
 
@@ -177,15 +173,7 @@ impl Sha256 {
         out
     }
 
-    /// Number of compression-function invocations so far (accelerator
-    /// timing: OpenTitan's HMAC core takes ~80 cycles per block).
-    #[must_use]
-    pub fn blocks(&self) -> u64 {
-        self.blocks
-    }
-
     fn compress(&mut self, block: &[u8; BLOCK_LEN]) {
-        self.blocks += 1;
         let mut w = [0u32; 64];
         for (i, chunk) in block.chunks_exact(4).enumerate() {
             w[i] = u32::from_be_bytes(chunk.try_into().expect("4-byte chunk"));
@@ -285,13 +273,5 @@ mod tests {
             h.update(&data[split..]);
             assert_eq!(h.finalize(), sha256(&data), "split {split}");
         }
-    }
-
-    #[test]
-    fn block_counter_tracks_compressions() {
-        let mut h = Sha256::new();
-        h.update(&[0u8; 128]);
-        assert_eq!(h.blocks(), 2);
-        let _ = h.finalize();
     }
 }

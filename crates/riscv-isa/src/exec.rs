@@ -58,21 +58,14 @@ pub trait Bus {
     fn write(&mut self, addr: u64, width: MemWidth, value: u64) -> Result<(), MemFault>;
 
     /// Fetches the instruction parcel at `addr`: 32 bits, of which a
-    /// compressed instruction uses the low half. The default reads one
-    /// word; [`FlatMemory`] returns the bytes that exist, so a compressed
-    /// instruction in its last halfword fetches.
+    /// compressed instruction uses the low half. Only the bytes the
+    /// instruction occupies need be mapped, so a compressed instruction in
+    /// a region's last halfword fetches ([`FlatMemory::fetch`] shows how).
     ///
     /// # Errors
     ///
     /// Returns [`MemFault`] when the instruction's bytes are unmapped.
-    fn fetch(&mut self, addr: u64) -> Result<u32, MemFault> {
-        self.read(addr, MemWidth::W)
-            .map(|v| v as u32)
-            .map_err(|f| MemFault {
-                addr: f.addr,
-                store: false,
-            })
-    }
+    fn fetch(&mut self, addr: u64) -> Result<u32, MemFault>;
 }
 
 /// Why a step did not retire normally.

@@ -544,7 +544,7 @@ impl SystemOnChip {
                 }
                 Err(ibex_model::IbexEvent::Trapped(t)) => {
                     // A real firmware bug: report it structurally instead of
-                    // panicking the whole campaign worker.
+                    // panicking the thread that runs the simulation.
                     pending_trap = Some(t);
                 }
                 Err(_) => {}
