@@ -143,7 +143,7 @@ cargo run --release -p titancfi-bench --bin latency -- \
 test -s "$latency_dir/BENCH_latency.json" || { echo "latency smoke: report missing/empty"; exit 1; }
 rm -rf "$latency_dir"
 
-echo "==> fleet smoke (sharded fleet, every frame integrity-verified at ingest)"
+echo "==> fleet smoke (sharded fleet, every frame integrity-verified at ingest; exact columns equal at 2 and 3 shards)"
 # The fleet binary exits nonzero if any swept device count loses or
 # corrupts a single commit-log frame, sees a duplicate/gapped sequence
 # number, or leaves a device undrained/unreaped at shutdown. --shards 3
@@ -169,6 +169,22 @@ for row in report["rows"]:
     t = row["transport"]
     assert t["sent"] == t["received"] == row["frames_ok"] and t["corrupt"] == 0, f"{row['devices']} devices: {t}"
 print("fleet smoke: lossless across", len(report["rows"]), "rows")
+PY
+# The simulated columns are pure functions of the config, so a run on two
+# shards must match the three-shard report row for row, as the fault
+# matrix must at -j 1 and -j 4. Steals depend on the schedule and stay
+# ungated.
+cargo run --release -p titancfi-bench --bin fleet -- \
+    --smoke --shards 2 --out "$fleet_dir/BENCH_fleet_shards2.json"
+python3 - "$fleet_dir/BENCH_fleet.json" "$fleet_dir/BENCH_fleet_shards2.json" <<'PY'
+import json, sys
+def exact(path):
+    return [(row["devices"], row["frames_ok"], row["sim_cycles"], row["turns"],
+             row["completed_runs"], row["transport"]["sent"])
+            for row in json.load(open(path))["rows"]]
+three, two = exact(sys.argv[1]), exact(sys.argv[2])
+assert three == two, f"exact columns differ across shard counts: --shards 3 {three} vs --shards 2 {two}"
+print("fleet smoke: exact columns equal at 2 and 3 shards:", three)
 PY
 rm -rf "$fleet_dir"
 

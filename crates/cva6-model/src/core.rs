@@ -186,12 +186,6 @@ impl<B: Bus> Cva6Core<B> {
         self.block_cache.resize(block_slots);
     }
 
-    /// Whether the predecode fast path is active.
-    #[must_use]
-    pub fn predecode_enabled(&self) -> bool {
-        self.predecode
-    }
-
     /// Drops every predecoded entry (required after mutating instruction
     /// memory behind the hart's back, e.g. via [`Cva6Core::bus_mut`]).
     pub fn invalidate_decode_cache(&mut self) {

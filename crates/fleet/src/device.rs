@@ -172,7 +172,6 @@ pub struct SocDevice {
     /// Last assigned wire seq (continues across respawns via `start_seq`).
     seq: u16,
     frames_sent: u64,
-    violations_seen: u64,
     halted: bool,
 }
 
@@ -197,7 +196,6 @@ impl SocDevice {
             batch: Vec::with_capacity(PUMP_BATCH),
             seq: start_seq,
             frames_sent: 0,
-            violations_seen: 0,
             halted: false,
         }
     }
@@ -258,7 +256,6 @@ impl Device for SocDevice {
         let (frames, stalled) = self.pump();
         let cycles = self.soc.cycles() - before_cycles;
         let violations = self.soc.violation_count() as u64 - before_violations;
-        self.violations_seen += violations;
         let status = match halt {
             None if self.soc.cycles() >= self.config.max_run_cycles => {
                 self.halted = true;

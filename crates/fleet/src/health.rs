@@ -1,16 +1,15 @@
 //! The fleet health pipeline: sliding-window per-device aggregation, a
-//! 0–100 health score per slot, a severity-debounced alert engine, and
-//! Prometheus-text / JSON exposition of the whole picture.
+//! 0–100 health score per slot, and a severity-debounced alert engine.
 //!
-//! Everything here is driven by *cumulative counters* sampled at the
-//! ingest loop's snapshot cadence (one sample = one evaluation). The
-//! monitor differences consecutive samples itself, keeps the last
+//! Everything here is driven by *cumulative counters* sampled on the fleet
+//! service's health cadence (one sample = one evaluation). The monitor
+//! differences consecutive samples itself, keeps the last
 //! [`HealthConfig::window`] deltas per device, and evaluates the alert
 //! conditions over those window sums. Alert conditions are pure functions
 //! of counter values — violations, sequence gaps, supervisor escalations,
 //! parked slots, a merged latency percentile — never of wall-clock time or
 //! sweep counts, so a clean fleet raises exactly zero alerts no matter how
-//! the ingest loop's timing interleaves with the shard workers.
+//! the monitor thread's timing interleaves with the shard workers.
 //!
 //! Debounce semantics: a condition must hold for
 //! [`HealthConfig::debounce`] *consecutive* evaluations before its alert
@@ -19,8 +18,6 @@
 //! anyone, and a wedged device does not page every sweep.
 
 use std::collections::VecDeque;
-use titancfi_harness::Json;
-use titancfi_obs::Histogram;
 
 /// Alert-engine and scoring thresholds.
 #[derive(Debug, Clone, Copy)]
@@ -69,26 +66,6 @@ pub enum AlertKind {
     RestartBudgetExhausted,
 }
 
-impl AlertKind {
-    /// Stable label value (Prometheus / JSON).
-    #[must_use]
-    pub fn label(self) -> &'static str {
-        match self {
-            AlertKind::ViolationBurst => "violation_burst",
-            AlertKind::SeqGapStorm => "seq_gap_storm",
-            AlertKind::StalledDevice => "stalled_device",
-            AlertKind::LatencySloBreach => "latency_slo_breach",
-            AlertKind::RestartBudgetExhausted => "restart_budget_exhausted",
-        }
-    }
-}
-
-impl std::fmt::Display for AlertKind {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.label())
-    }
-}
-
 /// How loud the alert is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Severity {
@@ -96,23 +73,6 @@ pub enum Severity {
     Warning,
     /// Threshold crossed by 2x, or an unrecoverable condition.
     Critical,
-}
-
-impl Severity {
-    /// Stable label value (Prometheus / JSON).
-    #[must_use]
-    pub fn label(self) -> &'static str {
-        match self {
-            Severity::Warning => "warning",
-            Severity::Critical => "critical",
-        }
-    }
-}
-
-impl std::fmt::Display for Severity {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.label())
-    }
 }
 
 /// One raised alert.
@@ -130,27 +90,6 @@ pub struct Alert {
     pub value: u64,
     /// The configured threshold it breached.
     pub threshold: u64,
-}
-
-impl Alert {
-    /// The alert as a JSON object (for report/exposition embedding).
-    #[must_use]
-    pub fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("kind", Json::Str(self.kind.label().to_string())),
-            ("severity", Json::Str(self.severity.label().to_string())),
-            (
-                "device",
-                match self.device {
-                    Some(d) => Json::Num(f64::from(d)),
-                    None => Json::Null,
-                },
-            ),
-            ("eval", Json::Num(self.eval as f64)),
-            ("value", Json::Num(self.value as f64)),
-            ("threshold", Json::Num(self.threshold as f64)),
-        ])
-    }
 }
 
 /// Cumulative per-device counters sampled at each evaluation. The monitor
@@ -234,16 +173,12 @@ pub struct HealthMonitor {
     evals: u64,
     /// Previous cumulative sample per slot.
     prev: Vec<DeviceCounters>,
-    /// Latest cumulative sample per slot.
-    latest: Vec<DeviceCounters>,
     /// Sliding delta window per slot.
     windows: Vec<VecDeque<Delta>>,
     /// Debounce state per slot per device-scoped alert kind.
     debounce: Vec<[Debounce; DEVICE_KINDS]>,
     /// Debounce state for the fleet-wide latency SLO.
     latency_debounce: Debounce,
-    /// Latest merged end-to-end latency p99, when latency is collected.
-    latency_p99: Option<u64>,
     /// Latest health score per slot (0–100).
     scores: Vec<u8>,
     /// Every alert raised so far, in fire order.
@@ -258,20 +193,12 @@ impl HealthMonitor {
             config,
             evals: 0,
             prev: vec![DeviceCounters::default(); devices],
-            latest: vec![DeviceCounters::default(); devices],
             windows: (0..devices).map(|_| VecDeque::new()).collect(),
             debounce: vec![[Debounce::default(); DEVICE_KINDS]; devices],
             latency_debounce: Debounce::default(),
-            latency_p99: None,
             scores: vec![100; devices],
             alerts: Vec::new(),
         }
-    }
-
-    /// Evaluations performed so far.
-    #[must_use]
-    pub fn evals(&self) -> u64 {
-        self.evals
     }
 
     /// Latest per-slot health scores (0–100; 100 until first evaluation).
@@ -284,12 +211,6 @@ impl HealthMonitor {
     #[must_use]
     pub fn alerts(&self) -> &[Alert] {
         &self.alerts
-    }
-
-    /// Latest merged end-to-end latency p99 observed, if any.
-    #[must_use]
-    pub fn latency_p99(&self) -> Option<u64> {
-        self.latency_p99
     }
 
     /// Runs one evaluation over fresh cumulative `counters` (one entry per
@@ -313,7 +234,6 @@ impl HealthMonitor {
         );
         self.evals += 1;
         let eval = self.evals;
-        self.latency_p99 = latency_p99;
         let mut fired = Vec::new();
 
         for (slot, now) in counters.iter().enumerate() {
@@ -324,7 +244,6 @@ impl HealthMonitor {
                 escalated_hung: now.escalated_hung.saturating_sub(prev.escalated_hung),
             };
             self.prev[slot] = *now;
-            self.latest[slot] = *now;
             let window = &mut self.windows[slot];
             window.push_back(delta);
             while window.len() > self.config.window.max(1) {
@@ -406,166 +325,6 @@ impl HealthMonitor {
         self.alerts.extend(fired.iter().cloned());
         fired
     }
-
-    /// Counts of raised alerts grouped by `(kind, severity)`, in a stable
-    /// order (kinds in declaration order, warnings before criticals).
-    #[must_use]
-    pub fn alert_counts(&self) -> Vec<(AlertKind, Severity, u64)> {
-        const KINDS: [AlertKind; 5] = [
-            AlertKind::ViolationBurst,
-            AlertKind::SeqGapStorm,
-            AlertKind::StalledDevice,
-            AlertKind::LatencySloBreach,
-            AlertKind::RestartBudgetExhausted,
-        ];
-        let mut out = Vec::new();
-        for kind in KINDS {
-            for severity in [Severity::Warning, Severity::Critical] {
-                let n = self
-                    .alerts
-                    .iter()
-                    .filter(|a| a.kind == kind && a.severity == severity)
-                    .count() as u64;
-                if n > 0 {
-                    out.push((kind, severity, n));
-                }
-            }
-        }
-        out
-    }
-
-    /// Renders the health snapshot in the Prometheus text exposition
-    /// format: fleet counters, per-device gauges, alert totals, and the
-    /// merged end-to-end latency histogram when one is collected.
-    #[must_use]
-    pub fn prometheus(
-        &self,
-        fleet_counters: &[(&str, u64)],
-        latency: Option<&Histogram>,
-    ) -> String {
-        let mut out = String::new();
-        for (name, value) in fleet_counters {
-            let metric = sanitize_metric_name(&format!("titancfi_{name}"));
-            push_family(&mut out, &metric, "counter", "fleet-wide counter");
-            out.push_str(&format!("{metric} {value}\n"));
-        }
-
-        push_family(
-            &mut out,
-            "titancfi_device_health_score",
-            "gauge",
-            "per-device health score (0-100)",
-        );
-        for (slot, score) in self.scores.iter().enumerate() {
-            out.push_str(&format!(
-                "titancfi_device_health_score{{device=\"{slot}\"}} {score}\n"
-            ));
-        }
-        push_family(
-            &mut out,
-            "titancfi_device_frames_ok",
-            "counter",
-            "verified frames ingested per device",
-        );
-        for (slot, c) in self.latest.iter().enumerate() {
-            out.push_str(&format!(
-                "titancfi_device_frames_ok{{device=\"{slot}\"}} {}\n",
-                c.frames_ok
-            ));
-        }
-        push_family(
-            &mut out,
-            "titancfi_device_violations",
-            "counter",
-            "CFI violations reported per device",
-        );
-        for (slot, c) in self.latest.iter().enumerate() {
-            out.push_str(&format!(
-                "titancfi_device_violations{{device=\"{slot}\"}} {}\n",
-                c.violations
-            ));
-        }
-        push_family(
-            &mut out,
-            "titancfi_device_parked",
-            "gauge",
-            "1 when the slot exhausted its restart budget",
-        );
-        for (slot, c) in self.latest.iter().enumerate() {
-            out.push_str(&format!(
-                "titancfi_device_parked{{device=\"{slot}\"}} {}\n",
-                u64::from(c.parked)
-            ));
-        }
-
-        push_family(
-            &mut out,
-            "titancfi_alerts_total",
-            "counter",
-            "alerts raised by kind and severity",
-        );
-        for (kind, severity, n) in self.alert_counts() {
-            out.push_str(&format!(
-                "titancfi_alerts_total{{kind=\"{kind}\",severity=\"{severity}\"}} {n}\n"
-            ));
-        }
-
-        if let Some(hist) = latency {
-            push_family(
-                &mut out,
-                "titancfi_latency_e2e_cycles",
-                "histogram",
-                "end-to-end commit-log latency in simulated cycles",
-            );
-            let mut cumulative = 0u64;
-            for (bound, count) in hist.buckets() {
-                cumulative += count;
-                let le = if bound == u64::MAX {
-                    "+Inf".to_string()
-                } else {
-                    bound.to_string()
-                };
-                out.push_str(&format!(
-                    "titancfi_latency_e2e_cycles_bucket{{le=\"{le}\"}} {cumulative}\n"
-                ));
-            }
-            out.push_str(&format!("titancfi_latency_e2e_cycles_sum {}\n", hist.sum));
-            out.push_str(&format!(
-                "titancfi_latency_e2e_cycles_count {}\n",
-                hist.count
-            ));
-        }
-        out
-    }
-
-    /// The health snapshot as JSON: evaluation count, scores, alerts, and
-    /// the latency p99 if collected.
-    #[must_use]
-    pub fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("evals", Json::Num(self.evals as f64)),
-            (
-                "scores",
-                Json::Arr(
-                    self.scores
-                        .iter()
-                        .map(|&s| Json::Num(f64::from(s)))
-                        .collect(),
-                ),
-            ),
-            (
-                "alerts",
-                Json::Arr(self.alerts.iter().map(Alert::to_json).collect()),
-            ),
-            (
-                "latency_p99",
-                match self.latency_p99 {
-                    Some(v) => Json::Num(v as f64),
-                    None => Json::Null,
-                },
-            ),
-        ])
-    }
 }
 
 /// The per-device health score: start at 100, subtract bounded penalties
@@ -580,198 +339,6 @@ fn score(now: &DeviceCounters, violations_w: u64, gaps_w: u64, hung_w: u64) -> u
     penalty += (15 * hung_w).min(30);
     penalty += (5 * u64::from(now.restarts_used)).min(15);
     (100u64.saturating_sub(penalty)) as u8
-}
-
-fn push_family(out: &mut String, metric: &str, kind: &str, help: &str) {
-    out.push_str(&format!("# HELP {metric} {help}\n"));
-    out.push_str(&format!("# TYPE {metric} {kind}\n"));
-}
-
-fn sanitize_metric_name(name: &str) -> String {
-    name.chars()
-        .map(|c| {
-            if c.is_ascii_alphanumeric() || c == '_' || c == ':' {
-                c
-            } else {
-                '_'
-            }
-        })
-        .collect()
-}
-
-/// A strict-enough validator for the Prometheus text exposition format:
-/// every line must be a `# HELP`/`# TYPE` comment or a `name{labels} value`
-/// sample with a legal metric name and a parseable value; every sample's
-/// family must have a prior `# TYPE`; histogram `le` buckets must be
-/// cumulative and end at `+Inf` with `_count` equal to the `+Inf` bucket.
-///
-/// # Errors
-///
-/// Returns a description of the first malformed line or histogram family.
-pub fn validate_prometheus(text: &str) -> Result<(), String> {
-    let mut typed: Vec<(String, String)> = Vec::new(); // (family, type)
-                                                       // (family, last cumulative bucket value, saw +Inf, last le)
-    let mut hist_state: Vec<(String, u64, bool, f64)> = Vec::new();
-    let mut counts: Vec<(String, u64)> = Vec::new();
-
-    for (idx, line) in text.lines().enumerate() {
-        let lineno = idx + 1;
-        if line.is_empty() {
-            continue;
-        }
-        if let Some(rest) = line.strip_prefix("# ") {
-            let mut parts = rest.splitn(3, ' ');
-            let keyword = parts.next().unwrap_or("");
-            let name = parts.next().unwrap_or("");
-            match keyword {
-                "HELP" => {
-                    if !is_metric_name(name) {
-                        return Err(format!("line {lineno}: bad HELP metric name {name:?}"));
-                    }
-                }
-                "TYPE" => {
-                    let kind = parts.next().unwrap_or("");
-                    if !is_metric_name(name) {
-                        return Err(format!("line {lineno}: bad TYPE metric name {name:?}"));
-                    }
-                    if !matches!(
-                        kind,
-                        "counter" | "gauge" | "histogram" | "summary" | "untyped"
-                    ) {
-                        return Err(format!("line {lineno}: unknown TYPE {kind:?}"));
-                    }
-                    typed.push((name.to_string(), kind.to_string()));
-                }
-                _ => {
-                    return Err(format!(
-                        "line {lineno}: unknown comment keyword {keyword:?}"
-                    ))
-                }
-            }
-            continue;
-        }
-        if line.starts_with('#') {
-            return Err(format!("line {lineno}: comments must start with '# '"));
-        }
-
-        // A sample: name[{labels}] value
-        let (name_labels, value) = line
-            .rsplit_once(' ')
-            .ok_or_else(|| format!("line {lineno}: sample has no value"))?;
-        if value != "+Inf" && value != "-Inf" && value != "NaN" && value.parse::<f64>().is_err() {
-            return Err(format!("line {lineno}: unparseable value {value:?}"));
-        }
-        let (name, labels) = match name_labels.split_once('{') {
-            Some((n, rest)) => {
-                let labels = rest
-                    .strip_suffix('}')
-                    .ok_or_else(|| format!("line {lineno}: unterminated label set"))?;
-                (n, Some(labels))
-            }
-            None => (name_labels, None),
-        };
-        if !is_metric_name(name) {
-            return Err(format!("line {lineno}: bad metric name {name:?}"));
-        }
-        let mut le: Option<f64> = None;
-        if let Some(labels) = labels {
-            for pair in labels.split(',').filter(|p| !p.is_empty()) {
-                let (key, val) = pair
-                    .split_once('=')
-                    .ok_or_else(|| format!("line {lineno}: label {pair:?} has no '='"))?;
-                if !is_metric_name(key) {
-                    return Err(format!("line {lineno}: bad label name {key:?}"));
-                }
-                let val = val
-                    .strip_prefix('"')
-                    .and_then(|v| v.strip_suffix('"'))
-                    .ok_or_else(|| format!("line {lineno}: label value {val:?} not quoted"))?;
-                if key == "le" {
-                    le = Some(if val == "+Inf" {
-                        f64::INFINITY
-                    } else {
-                        val.parse::<f64>()
-                            .map_err(|_| format!("line {lineno}: bad le value {val:?}"))?
-                    });
-                }
-            }
-        }
-
-        // Family = name minus histogram suffixes.
-        let family = ["_bucket", "_sum", "_count"]
-            .iter()
-            .find_map(|suffix| {
-                line.starts_with(name)
-                    .then(|| name.strip_suffix(suffix))
-                    .flatten()
-            })
-            .filter(|f| typed.iter().any(|(n, k)| n == *f && k == "histogram"))
-            .unwrap_or(name);
-        if !typed.iter().any(|(n, _)| n == family) {
-            return Err(format!("line {lineno}: sample {name:?} has no # TYPE"));
-        }
-
-        // Histogram bookkeeping.
-        if let Some(family) = name.strip_suffix("_bucket") {
-            if typed.iter().any(|(n, k)| n == family && k == "histogram") {
-                let le = le.ok_or_else(|| format!("line {lineno}: histogram bucket without le"))?;
-                let cum = value
-                    .parse::<f64>()
-                    .map_err(|_| format!("line {lineno}: bucket value {value:?}"))?
-                    as u64;
-                match hist_state.iter_mut().find(|(f, ..)| f == family) {
-                    Some((_, last_cum, saw_inf, last_le)) => {
-                        if cum < *last_cum {
-                            return Err(format!(
-                                "line {lineno}: histogram {family:?} buckets not cumulative"
-                            ));
-                        }
-                        if le <= *last_le {
-                            return Err(format!(
-                                "line {lineno}: histogram {family:?} le not increasing"
-                            ));
-                        }
-                        *last_cum = cum;
-                        *last_le = le;
-                        *saw_inf |= le.is_infinite();
-                    }
-                    None => hist_state.push((family.to_string(), cum, le.is_infinite(), le)),
-                }
-            }
-        }
-        if let Some(family) = name.strip_suffix("_count") {
-            if typed.iter().any(|(n, k)| n == family && k == "histogram") {
-                let count = value
-                    .parse::<f64>()
-                    .map_err(|_| format!("line {lineno}: count value {value:?}"))?
-                    as u64;
-                counts.push((family.to_string(), count));
-            }
-        }
-    }
-
-    for (family, cum, saw_inf, _) in &hist_state {
-        if !saw_inf {
-            return Err(format!("histogram {family:?} is missing its +Inf bucket"));
-        }
-        if let Some((_, count)) = counts.iter().find(|(f, _)| f == family) {
-            if count != cum {
-                return Err(format!(
-                    "histogram {family:?}: _count {count} != +Inf bucket {cum}"
-                ));
-            }
-        }
-    }
-    Ok(())
-}
-
-fn is_metric_name(name: &str) -> bool {
-    let mut chars = name.chars();
-    match chars.next() {
-        Some(c) if c.is_ascii_alphabetic() || c == '_' || c == ':' => {}
-        _ => return false,
-    }
-    chars.all(|c| c.is_ascii_alphanumeric() || c == '_' || c == ':')
 }
 
 #[cfg(test)]
@@ -899,73 +466,5 @@ mod tests {
         assert_eq!(fired[0].kind, AlertKind::LatencySloBreach);
         assert_eq!(fired[0].severity, Severity::Critical, ">= 2x SLO");
         assert_eq!(fired[0].device, None);
-    }
-
-    #[test]
-    fn prometheus_output_validates_and_carries_the_histogram() {
-        let mut mon = HealthMonitor::new(2, quick_config());
-        let mut sick = clean(10);
-        sick.violations = 7;
-        mon.evaluate(&[sick, clean(20)], Some(50));
-        mon.evaluate(&[sick, clean(25)], Some(50));
-        let mut hist = Histogram::cycles();
-        for v in [3, 17, 90, 1_000] {
-            hist.record(v);
-        }
-        let text = mon.prometheus(
-            &[("fleet.frames.ok", 35), ("fleet.violations", 7)],
-            Some(&hist),
-        );
-        validate_prometheus(&text).expect("exposition must be valid Prometheus text");
-        assert!(text.contains("titancfi_fleet_frames_ok 35"));
-        assert!(text.contains("titancfi_device_health_score{device=\"0\"}"));
-        assert!(text.contains("titancfi_alerts_total{kind=\"violation_burst\""));
-        assert!(text.contains("titancfi_latency_e2e_cycles_bucket{le=\"+Inf\"} 4"));
-        assert!(text.contains("titancfi_latency_e2e_cycles_count 4"));
-    }
-
-    #[test]
-    fn validator_rejects_malformed_text() {
-        assert!(validate_prometheus("9metric 1\n").is_err(), "bad name");
-        assert!(
-            validate_prometheus("# TYPE m counter\nm notanumber\n").is_err(),
-            "bad value"
-        );
-        assert!(
-            validate_prometheus("orphan_sample 3\n").is_err(),
-            "sample without TYPE"
-        );
-        assert!(
-            validate_prometheus(
-                "# HELP h x\n# TYPE h histogram\nh_bucket{le=\"1\"} 5\nh_bucket{le=\"+Inf\"} 3\n"
-            )
-            .is_err(),
-            "non-cumulative buckets"
-        );
-        assert!(
-            validate_prometheus("# HELP h x\n# TYPE h histogram\nh_bucket{le=\"1\"} 5\n").is_err(),
-            "missing +Inf"
-        );
-    }
-
-    #[test]
-    fn json_snapshot_round_trips() {
-        let mut mon = HealthMonitor::new(1, quick_config());
-        let mut c = clean(1);
-        c.violations = 9;
-        mon.evaluate(&[c], None);
-        mon.evaluate(&[c], None);
-        let json = mon.to_json();
-        let parsed = Json::parse(&json.encode()).expect("snapshot encodes to valid JSON");
-        assert_eq!(parsed.get("evals").and_then(Json::as_num), Some(2.0));
-        let alerts = match parsed.get("alerts") {
-            Some(Json::Arr(items)) => items.clone(),
-            other => panic!("alerts must be an array, got {other:?}"),
-        };
-        assert_eq!(alerts.len(), 1);
-        assert_eq!(
-            alerts[0].get("kind").and_then(Json::as_str),
-            Some("violation_burst")
-        );
     }
 }

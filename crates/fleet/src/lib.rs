@@ -18,15 +18,15 @@
 //!   reap on hang or trap, bounded restart budgets, a permanent-failure
 //!   ledger;
 //! * [`health`] — the fleet health pipeline: sliding-window per-device
-//!   aggregation, 0–100 health scores, a severity-debounced alert engine
-//!   (violation bursts, seq-gap storms, stalled devices, latency-SLO
-//!   breaches, exhausted restart budgets), and Prometheus-text / JSON
-//!   exposition snapshots;
+//!   aggregation, 0–100 health scores, and a severity-debounced alert
+//!   engine (violation bursts, seq-gap storms, stalled devices,
+//!   latency-SLO breaches, exhausted restart budgets), whose scores and
+//!   alerts land in the [`FleetReport`];
 //! * [`service`] — the fleet itself: shard workers with work-stealing
 //!   ([`titancfi_harness::StealQueues`]) running devices in cache-friendly
 //!   turn bursts, *sharded* poll-coupled ingest (each worker verifies the
 //!   frames of the slots it just ran plus a fixed partition it owns),
-//!   periodic JSONL snapshots, and a drain-and-shutdown protocol whose
+//!   periodic health evaluations, and a drain-and-shutdown protocol whose
 //!   invariant is frames-in == frames-out.
 //!
 //! The `titancfi-bench` crate's `fleet` binary sweeps device counts over
@@ -42,9 +42,7 @@ pub mod transport;
 pub use device::{
     call_dense_workload, Device, DeviceStatus, PollOutcome, SocDevice, SocDeviceConfig,
 };
-pub use health::{
-    validate_prometheus, Alert, AlertKind, DeviceCounters, HealthConfig, HealthMonitor, Severity,
-};
+pub use health::{Alert, AlertKind, DeviceCounters, HealthConfig, HealthMonitor, Severity};
 pub use service::{run_fleet, FleetConfig, FleetReport};
 pub use supervisor::{
     DeviceFactory, EscalationReason, FailureRecord, SlotHealth, SupervisionConfig,

@@ -22,12 +22,12 @@
 //!    and the ring's producer and consumer cursors never contend). Each
 //!    worker additionally owns a fixed partition of slots
 //!    (`slot % shards == shard`) which it sweeps while idle and during
-//!    shutdown, so no transport depends on its poller for liveness. Per-slot sequence trackers and counters live behind
-//!    per-slot locks (uncontended in steady state) and are mirrored into
-//!    atomics the monitor thread reads without touching the trackers.
-//! 4. **Monitor** — the main thread no longer ingests anything: it wakes
-//!    on a fixed sweep cadence, appends JSONL snapshot lines, and
-//!    evaluates the health monitor.
+//!    shutdown, so no transport depends on its poller for liveness.
+//!    Per-slot sequence trackers and counters live behind per-slot locks,
+//!    uncontended in steady state; they are the only copy of each count.
+//! 4. **Monitor** — the main thread ingests nothing: it wakes on a fixed
+//!    sweep cadence, samples every slot's counters under the same locks,
+//!    and evaluates the health monitor.
 //! 5. **Drain** — after the workers join (each drains its own partition
 //!    dry once supervision quiesces), the service alternates device
 //!    flushes with full ingest sweeps until every buffered frame is out of
@@ -44,11 +44,10 @@ use crate::supervisor::{
     Turn,
 };
 use crate::transport::{Backend, InProcRing, Transport, TransportStats};
-use std::io::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 use titancfi::wire::{Frame, SeqTracker};
-use titancfi_harness::{Json, StealQueues};
+use titancfi_harness::StealQueues;
 use titancfi_obs::Histogram;
 
 /// Fleet-wide configuration.
@@ -75,12 +74,8 @@ pub struct FleetConfig {
     pub backend: Option<Backend>,
     /// Supervision policy.
     pub supervision: SupervisionConfig,
-    /// Append JSONL telemetry snapshots here (one line per cadence tick).
-    pub snapshot_path: Option<std::path::PathBuf>,
-    /// Ingest sweeps between snapshot lines.
-    pub snapshot_every_sweeps: u64,
-    /// Health-monitor thresholds; the monitor evaluates once per snapshot
-    /// cadence tick plus once after the drain phase.
+    /// Health-monitor thresholds; the monitor evaluates once every 64
+    /// fleet-wide ingest sweeps plus once after the drain phase.
     pub health: HealthConfig,
 }
 
@@ -94,8 +89,6 @@ impl Default for FleetConfig {
             turn_burst: 8,
             backend: None,
             supervision: SupervisionConfig::default(),
-            snapshot_path: None,
-            snapshot_every_sweeps: 64,
             health: HealthConfig::default(),
         }
     }
@@ -156,8 +149,6 @@ pub struct FleetReport {
     /// ([`crate::device::SocDeviceConfig::latency`]), finished runs
     /// included.
     pub latency_e2e: Option<Histogram>,
-    /// The final Prometheus-text exposition snapshot.
-    pub exposition: String,
 }
 
 impl FleetReport {
@@ -183,6 +174,9 @@ impl FleetReport {
 /// Frames per batched receive on the ingest path.
 const INGEST_BATCH: usize = 64;
 
+/// Fleet-wide ingest sweeps between health evaluations.
+const HEALTH_EVERY_SWEEPS: u64 = 64;
+
 /// A zeroed frame for receive-buffer initialization.
 const ZERO_FRAME: Frame = Frame {
     seq: 0,
@@ -196,31 +190,20 @@ const ZERO_FRAME: Frame = Frame {
 
 /// Per-slot ingest state: the sequence tracker plus exact counters. Locked
 /// by whichever worker currently drains the slot's transport — its poller
-/// on the hot path, the partition owner on idle/drain sweeps — so the lock
-/// is uncontended in steady state.
+/// on the hot path, the partition owner on idle/drain sweeps — and by the
+/// monitor thread once per health tick, so the lock is uncontended in
+/// steady state.
 struct SlotIngest {
     tracker: SeqTracker,
     frames_ok: u64,
     frames_corrupt: u64,
 }
 
-/// Monitor-readable mirror of one slot's ingest counters. The monitor
-/// thread snapshots these relaxed atomics on its cadence without ever
-/// touching the trackers or the transports.
-#[derive(Default)]
-struct SlotMirror {
-    frames_ok: AtomicU64,
-    frames_corrupt: AtomicU64,
-    seq_gaps: AtomicU64,
-    seq_duplicates: AtomicU64,
-}
-
 /// Sharded ingest state over every slot.
 struct Ingest<'a> {
     transports: &'a [Arc<InProcRing>],
     slots: Vec<Mutex<SlotIngest>>,
-    mirrors: Vec<SlotMirror>,
-    /// Total per-slot drain operations — the snapshot cadence's clock.
+    /// Total per-slot drain operations — the health cadence's clock.
     sweeps: AtomicU64,
 }
 
@@ -237,20 +220,21 @@ impl<'a> Ingest<'a> {
                     })
                 })
                 .collect(),
-            mirrors: (0..transports.len())
-                .map(|_| SlotMirror::default())
-                .collect(),
             sweeps: AtomicU64::new(0),
         }
+    }
+
+    fn lock(&self, slot: usize) -> MutexGuard<'_, SlotIngest> {
+        self.slots[slot]
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 
     /// Drains one slot's transport to empty in [`INGEST_BATCH`]-frame
     /// bursts, verifying sequence continuity. Returns frames moved
     /// (corrupt frames count — they are progress for quiescence purposes).
     fn drain_slot(&self, slot: usize) -> u64 {
-        let mut state = self.slots[slot]
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        let mut state = self.lock(slot);
         let mut buf = [ZERO_FRAME; INGEST_BATCH];
         let mut moved = 0u64;
         loop {
@@ -264,17 +248,6 @@ impl<'a> Ingest<'a> {
             if batch.moved() < INGEST_BATCH {
                 break;
             }
-        }
-        if moved > 0 {
-            let mirror = &self.mirrors[slot];
-            mirror.frames_ok.store(state.frames_ok, Ordering::Relaxed);
-            mirror
-                .frames_corrupt
-                .store(state.frames_corrupt, Ordering::Relaxed);
-            mirror.seq_gaps.store(state.tracker.gaps, Ordering::Relaxed);
-            mirror
-                .seq_duplicates
-                .store(state.tracker.duplicates, Ordering::Relaxed);
         }
         self.sweeps.fetch_add(1, Ordering::Relaxed);
         moved
@@ -298,66 +271,20 @@ impl<'a> Ingest<'a> {
             .sum()
     }
 
-    /// Sums a counter over the monitor-readable mirrors.
-    fn mirror_total(&self, f: impl Fn(&SlotMirror) -> &AtomicU64) -> u64 {
-        self.mirrors
-            .iter()
-            .map(|m| f(m).load(Ordering::Relaxed))
-            .sum()
-    }
-
     /// Exact totals from the per-slot states (quiescent side only).
     fn totals(&self) -> (u64, u64, u64, u64) {
         let mut ok = 0;
         let mut corrupt = 0;
         let mut dups = 0;
         let mut gaps = 0;
-        for slot in &self.slots {
-            let state = slot
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
+        for slot in 0..self.slots.len() {
+            let state = self.lock(slot);
             ok += state.frames_ok;
             corrupt += state.frames_corrupt;
             dups += state.tracker.duplicates;
             gaps += state.tracker.gaps;
         }
         (ok, corrupt, dups, gaps)
-    }
-}
-
-/// A JSONL telemetry sink that appends one snapshot object per line.
-struct SnapshotSink {
-    file: Option<std::fs::File>,
-}
-
-impl SnapshotSink {
-    fn open(path: Option<&std::path::Path>) -> SnapshotSink {
-        SnapshotSink {
-            file: path.and_then(|p| {
-                match std::fs::OpenOptions::new()
-                    .create(true)
-                    .append(true)
-                    .open(p)
-                {
-                    Ok(file) => Some(file),
-                    Err(e) => {
-                        // A mistyped snapshot path must not silently drop
-                        // all telemetry — one warning, then run without it.
-                        eprintln!(
-                            "fleet: cannot open snapshot path {}: {e}; telemetry disabled",
-                            p.display()
-                        );
-                        None
-                    }
-                }
-            }),
-        }
-    }
-
-    fn write(&mut self, line: &Json) {
-        if let Some(file) = self.file.as_mut() {
-            let _ = writeln!(file, "{}", line.encode());
-        }
     }
 }
 
@@ -416,7 +343,6 @@ where
     let sup_done = AtomicU64::new(0);
     let finished = AtomicU64::new(0);
     let ingest = Ingest::new(&transports);
-    let mut sink = SnapshotSink::open(config.snapshot_path.as_deref());
     let mut monitor = HealthMonitor::new(devices as usize, config.health);
 
     std::thread::scope(|scope| {
@@ -519,32 +445,29 @@ where
         }
 
         // Monitor loop on the scope's main thread: no ingest work, just
-        // telemetry on the sweep cadence until every worker has finished.
-        // `ingest.sweeps` counts *per-slot* drains, so one fleet-wide
-        // sweep equivalent is `devices` drains — the cadence must scale
-        // with fleet size or a thousand-device fleet ticks on every
-        // wakeup, and each tick walks every supervisor slot lock (health
-        // counters, latency merge) in direct contention with the workers.
-        let cadence = config.snapshot_every_sweeps.max(1) * u64::from(devices.max(1));
+        // health evaluations on the sweep cadence until every worker has
+        // finished. `ingest.sweeps` counts *per-slot* drains, so one
+        // fleet-wide sweep equivalent is `devices` drains — the cadence
+        // must scale with fleet size or a thousand-device fleet ticks on
+        // every wakeup, and each tick walks every slot's supervisor and
+        // ingest locks (health counters, latency merge) in direct
+        // contention with the workers.
+        let cadence = HEALTH_EVERY_SWEEPS * u64::from(devices.max(1));
         let mut last_tick = 0u64;
         // 2ms per wakeup: on a single-CPU microVM each timer expiry is a
         // context switch stolen from a worker mid-slice, so the monitor
-        // polls coarsely — telemetry cadence is sweep-counted, not
+        // polls coarsely — the health cadence is sweep-counted, not
         // wall-clock-counted, and loses nothing to a lazy poller.
         while finished.load(Ordering::Acquire) < shards as u64 {
             std::thread::sleep(std::time::Duration::from_millis(2));
             let tick = ingest.sweeps.load(Ordering::Relaxed) / cadence;
             if tick > last_tick {
                 last_tick = tick;
-                let sweeps = ingest.sweeps.load(Ordering::Relaxed);
-                let stats = supervisor.stats();
-                sink.write(&snapshot_line("fleet_snapshot", sweeps, &ingest, &stats));
                 let latency = merged_latency(&supervisor, devices);
                 monitor.evaluate(
                     &device_counters(&ingest, &supervisor, devices),
                     latency.as_ref().map(|h| h.percentile(0.99)),
                 );
-                sink.write(&health_line(sweeps, &monitor));
             }
         }
     });
@@ -566,7 +489,7 @@ where
         }
     }
 
-    // Final health evaluation: even a run shorter than one snapshot
+    // Final health evaluation: even a run shorter than one health
     // cadence gets its counters through the alert engine, and the drain
     // phase's last gaps/violations are visible to it.
     let latency_e2e = merged_latency(&supervisor, devices);
@@ -591,18 +514,6 @@ where
     let (frames_ok, frames_corrupt, seq_duplicates, seq_gaps) = ingest.totals();
 
     let frames_lost = frames_sent.saturating_sub(frames_ok + frames_corrupt);
-    let final_sweeps = ingest.sweeps.load(Ordering::Relaxed);
-    sink.write(&snapshot_line(
-        "fleet_final",
-        final_sweeps,
-        &ingest,
-        &supervision,
-    ));
-    sink.write(&health_line(final_sweeps, &monitor));
-    let exposition = monitor.prometheus(
-        &fleet_counter_pairs(&ingest, &supervision),
-        latency_e2e.as_ref(),
-    );
 
     FleetReport {
         devices,
@@ -626,12 +537,12 @@ where
         health_scores: monitor.scores().to_vec(),
         alerts: monitor.alerts().to_vec(),
         latency_e2e,
-        exposition,
     }
 }
 
-/// Snapshots every slot's cumulative counters for the health monitor —
-/// from the mirrors, so the monitor thread never contends on a slot lock.
+/// Snapshots every slot's cumulative counters for the health monitor. Each
+/// slot's supervisor and ingest locks are taken one after the other, never
+/// together.
 fn device_counters(
     ingest: &Ingest<'_>,
     supervisor: &Supervisor,
@@ -640,12 +551,12 @@ fn device_counters(
     (0..devices)
         .map(|slot| {
             let health = supervisor.slot_health(slot);
-            let mirror = &ingest.mirrors[slot as usize];
+            let state = ingest.lock(slot as usize);
             DeviceCounters {
-                frames_ok: mirror.frames_ok.load(Ordering::Relaxed),
+                frames_ok: state.frames_ok,
                 violations: health.violations,
-                seq_gaps: mirror.seq_gaps.load(Ordering::Relaxed),
-                seq_duplicates: mirror.seq_duplicates.load(Ordering::Relaxed),
+                seq_gaps: state.tracker.gaps,
+                seq_duplicates: state.tracker.duplicates,
                 escalated_hung: health.escalated_hung,
                 escalated_trapped: health.escalated_trapped,
                 restarts_used: health.restarts_used,
@@ -666,68 +577,6 @@ fn merged_latency(supervisor: &Supervisor, devices: u32) -> Option<Histogram> {
         }
     }
     merged
-}
-
-/// The fleet-level counters every exposition snapshot carries.
-fn fleet_counter_pairs(ingest: &Ingest<'_>, sup: &SupervisionStats) -> Vec<(&'static str, u64)> {
-    vec![
-        ("fleet.frames.ok", ingest.mirror_total(|m| &m.frames_ok)),
-        (
-            "fleet.frames.corrupt",
-            ingest.mirror_total(|m| &m.frames_corrupt),
-        ),
-        (
-            "fleet.seq.duplicates",
-            ingest.mirror_total(|m| &m.seq_duplicates),
-        ),
-        ("fleet.seq.gaps", ingest.mirror_total(|m| &m.seq_gaps)),
-        ("fleet.violations", sup.violations),
-        ("fleet.devices.escalated.hung", sup.escalated_hung),
-        ("fleet.devices.escalated.trapped", sup.escalated_trapped),
-        ("fleet.devices.respawned", sup.respawns),
-        ("fleet.devices.failed", sup.permanent_failures),
-        ("fleet.runs.completed", sup.completed_runs),
-    ]
-}
-
-fn health_line(sweeps: u64, monitor: &HealthMonitor) -> Json {
-    Json::obj(vec![
-        ("event", Json::Str("fleet_health".to_string())),
-        ("sweeps", Json::Num(sweeps as f64)),
-        ("health", monitor.to_json()),
-    ])
-}
-
-fn snapshot_line(event: &str, sweeps: u64, ingest: &Ingest<'_>, sup: &SupervisionStats) -> Json {
-    Json::obj(vec![
-        ("event", Json::Str(event.to_string())),
-        ("sweeps", Json::Num(sweeps as f64)),
-        (
-            "frames_ok",
-            Json::Num(ingest.mirror_total(|m| &m.frames_ok) as f64),
-        ),
-        (
-            "frames_corrupt",
-            Json::Num(ingest.mirror_total(|m| &m.frames_corrupt) as f64),
-        ),
-        (
-            "seq_duplicates",
-            Json::Num(ingest.mirror_total(|m| &m.seq_duplicates) as f64),
-        ),
-        (
-            "seq_gaps",
-            Json::Num(ingest.mirror_total(|m| &m.seq_gaps) as f64),
-        ),
-        ("runs_completed", Json::Num(sup.completed_runs as f64)),
-        ("escalated_hung", Json::Num(sup.escalated_hung as f64)),
-        ("escalated_trapped", Json::Num(sup.escalated_trapped as f64)),
-        ("respawns", Json::Num(sup.respawns as f64)),
-        (
-            "permanent_failures",
-            Json::Num(sup.permanent_failures as f64),
-        ),
-        ("violations", Json::Num(sup.violations as f64)),
-    ])
 }
 
 #[cfg(test)]
@@ -773,8 +622,6 @@ mod tests {
         // A clean fleet: perfect health, zero alerts.
         assert!(report.health_scores.iter().all(|&s| s == 100));
         assert!(report.alerts.is_empty(), "clean fleet must not page");
-        crate::health::validate_prometheus(&report.exposition)
-            .expect("exposition must be valid Prometheus text");
     }
 
     #[test]
@@ -850,63 +697,5 @@ mod tests {
         assert!(report.frames_ok > 0);
         assert!(report.is_lossless());
         assert_eq!((report.seq_duplicates, report.seq_gaps), (0, 0));
-    }
-
-    #[test]
-    fn snapshot_file_gets_jsonl_lines() {
-        let dir = std::env::temp_dir().join(format!("titancfi-fleet-snap-{}", std::process::id()));
-        let _ = std::fs::create_dir_all(&dir);
-        let path = dir.join("snapshots.jsonl");
-        let _ = std::fs::remove_file(&path);
-        let program = Arc::new(call_dense_workload(2));
-        let config = FleetConfig {
-            devices: 2,
-            shards: 1,
-            passes: 400,
-            snapshot_path: Some(path.clone()),
-            snapshot_every_sweeps: 8,
-            ..FleetConfig::default()
-        };
-        let report = run_fleet(&config, move |_, seq, tx| {
-            Box::new(SocDevice::new(
-                SocDeviceConfig::new(Arc::clone(&program)),
-                tx,
-                seq,
-            ))
-        });
-        assert!(report.is_lossless());
-        let text = std::fs::read_to_string(&path).expect("snapshot file written");
-        let lines: Vec<&str> = text.lines().collect();
-        assert!(!lines.is_empty(), "at least the final snapshot line");
-        for line in &lines {
-            let parsed = Json::parse(line).expect("every line is valid JSON");
-            let event = parsed.get("event").and_then(Json::as_str).expect("event");
-            if event == "fleet_health" {
-                assert!(parsed.get("health").is_some());
-            } else {
-                assert!(parsed.get("frames_ok").is_some());
-            }
-        }
-        assert!(
-            text.contains("fleet_final"),
-            "final snapshot is always appended"
-        );
-        assert!(
-            text.contains("fleet_health"),
-            "health lines ride the same cadence"
-        );
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn snapshot_sink_warns_but_does_not_crash_on_bad_path() {
-        // A directory that does not exist: SnapshotSink::open must fall
-        // back to a disabled sink (with a stderr warning) instead of
-        // silently succeeding or panicking.
-        let bad = std::path::Path::new("/nonexistent-titancfi-dir/snap.jsonl");
-        let mut sink = SnapshotSink::open(Some(bad));
-        assert!(sink.file.is_none(), "open failure leaves the sink disabled");
-        // Writing to a disabled sink is a no-op.
-        sink.write(&Json::obj(vec![("event", Json::Str("x".into()))]));
     }
 }

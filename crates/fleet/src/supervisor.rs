@@ -15,7 +15,6 @@
 //! coordination.
 
 use crate::device::{Device, DeviceStatus, PollOutcome};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 /// Factory producing a device for `(slot, start_seq)`. Called at fleet
@@ -137,8 +136,6 @@ pub struct SlotHealth {
     pub escalated_trapped: u64,
     /// Failure respawns consumed so far.
     pub restarts_used: u32,
-    /// Clean run completions on this slot.
-    pub completed_runs: u64,
     /// Whether the slot is permanently parked.
     pub parked: bool,
 }
@@ -149,11 +146,6 @@ pub struct Supervisor {
     factory: DeviceFactory,
     slots: Vec<Mutex<Slot>>,
     ledger: Mutex<Vec<FailureRecord>>,
-    escalated_hung: AtomicU64,
-    escalated_trapped: AtomicU64,
-    respawns: AtomicU64,
-    completed_runs: AtomicU64,
-    violations: AtomicU64,
 }
 
 /// Aggregate supervision counters.
@@ -196,11 +188,6 @@ impl Supervisor {
             factory,
             slots,
             ledger: Mutex::new(Vec::new()),
-            escalated_hung: AtomicU64::new(0),
-            escalated_trapped: AtomicU64::new(0),
-            respawns: AtomicU64::new(0),
-            completed_runs: AtomicU64::new(0),
-            violations: AtomicU64::new(0),
         }
     }
 
@@ -218,8 +205,6 @@ impl Supervisor {
             Some(device) => device.poll(),
             None => return Turn::Dead,
         };
-        self.violations
-            .fetch_add(outcome.violations, Ordering::Relaxed);
         state.violations += outcome.violations;
         match &outcome.status {
             DeviceStatus::Running => {
@@ -235,7 +220,6 @@ impl Supervisor {
             }
             DeviceStatus::Completed => {
                 state.completed_runs += 1;
-                self.completed_runs.fetch_add(1, Ordering::Relaxed);
                 // Free recycle: boot the next run, seq continuing where the
                 // finished one stopped.
                 let next_seq = state.retire_device();
@@ -256,20 +240,13 @@ impl Supervisor {
     /// stays continuous.
     fn escalate(&self, slot: u32, state: &mut Slot, reason: EscalationReason) -> Turn {
         match reason {
-            EscalationReason::Hung => {
-                self.escalated_hung.fetch_add(1, Ordering::Relaxed);
-                state.escalated_hung += 1;
-            }
-            EscalationReason::Trapped(_) => {
-                self.escalated_trapped.fetch_add(1, Ordering::Relaxed);
-                state.escalated_trapped += 1;
-            }
+            EscalationReason::Hung => state.escalated_hung += 1,
+            EscalationReason::Trapped(_) => state.escalated_trapped += 1,
         };
         let next_seq = state.retire_device(); // reaped
         state.idle_polls = 0;
         if state.restarts_used < self.config.restart_budget {
             state.restarts_used += 1;
-            self.respawns.fetch_add(1, Ordering::Relaxed);
             state.device = Some((self.factory)(slot, next_seq));
             Turn::Respawned(reason)
         } else {
@@ -293,12 +270,6 @@ impl Supervisor {
         state.device.as_mut().map_or(0, |d| d.flush())
     }
 
-    /// Whether `slot` is parked (permanently failed).
-    #[must_use]
-    pub fn is_parked(&self, slot: u32) -> bool {
-        self.lock(slot).device.is_none()
-    }
-
     /// Snapshot of `slot`'s health counters for the fleet health monitor.
     #[must_use]
     pub fn slot_health(&self, slot: u32) -> SlotHealth {
@@ -308,7 +279,6 @@ impl Supervisor {
             escalated_hung: state.escalated_hung,
             escalated_trapped: state.escalated_trapped,
             restarts_used: state.restarts_used,
-            completed_runs: state.completed_runs,
             parked: state.device.is_none(),
         }
     }
@@ -335,27 +305,35 @@ impl Supervisor {
             .clone()
     }
 
-    /// Aggregate counters.
+    /// Aggregate counters: every slot's counters summed, plus the
+    /// ledger's length. Each failure respawn draws one unit of a slot's
+    /// budget, so `respawns` is the sum of `restarts_used`.
     #[must_use]
     pub fn stats(&self) -> SupervisionStats {
-        SupervisionStats {
-            escalated_hung: self.escalated_hung.load(Ordering::Relaxed),
-            escalated_trapped: self.escalated_trapped.load(Ordering::Relaxed),
-            respawns: self.respawns.load(Ordering::Relaxed),
-            completed_runs: self.completed_runs.load(Ordering::Relaxed),
+        let mut stats = SupervisionStats {
             permanent_failures: self
                 .ledger
                 .lock()
                 .unwrap_or_else(std::sync::PoisonError::into_inner)
                 .len() as u64,
-            violations: self.violations.load(Ordering::Relaxed),
+            ..SupervisionStats::default()
+        };
+        for slot in 0..self.slots.len() as u32 {
+            let state = self.lock(slot);
+            stats.escalated_hung += state.escalated_hung;
+            stats.escalated_trapped += state.escalated_trapped;
+            stats.respawns += u64::from(state.restarts_used);
+            stats.completed_runs += state.completed_runs;
+            stats.violations += state.violations;
         }
+        stats
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicU64, Ordering};
 
     /// Scripted device: a fixed tape of poll outcomes, then idles forever.
     struct Scripted {
@@ -444,7 +422,7 @@ mod tests {
         assert!(matches!(sup.turn(0), Turn::Respawned(_)));
         assert!(matches!(sup.turn(0), Turn::Respawned(_)));
         assert!(matches!(sup.turn(0), Turn::Parked(_)));
-        assert!(sup.is_parked(0));
+        assert!(sup.slot_health(0).parked);
         assert_eq!(sup.turn(0), Turn::Dead, "parked slots stay dead");
         let ledger = sup.ledger();
         assert_eq!(ledger.len(), 1);
@@ -479,7 +457,7 @@ mod tests {
         for _ in 0..5 {
             assert!(matches!(sup.turn(0), Turn::Recycled(_)));
         }
-        assert!(!sup.is_parked(0), "free recycles never park");
+        assert!(!sup.slot_health(0).parked, "free recycles never park");
         assert_eq!(sup.stats().completed_runs, 5);
         assert_eq!(sup.stats().respawns, 0);
         assert_eq!(
@@ -487,5 +465,72 @@ mod tests {
             6,
             "initial boot + 5 recycles"
         );
+    }
+
+    #[test]
+    fn stats_sum_the_counters_of_every_slot() {
+        // Slot 0 flags violations on every poll and completes on its third;
+        // slot 1 traps on every boot until its budget parks it; slot 2
+        // works once, then wedges past the liveness deadline.
+        let poll = |violations, status| PollOutcome {
+            cycles: 10,
+            frames: 1,
+            violations,
+            stalled: false,
+            status,
+        };
+        let sup = Supervisor::new(
+            3,
+            config(3, 2),
+            Box::new(move |slot, _| match slot {
+                0 => Scripted::boxed(vec![
+                    poll(2, DeviceStatus::Running),
+                    poll(3, DeviceStatus::Running),
+                    poll(1, DeviceStatus::Completed),
+                ]),
+                1 => Scripted::boxed(vec![poll(0, DeviceStatus::Trapped("test".into()))]),
+                _ => Scripted::boxed(vec![running(10, 1)]),
+            }),
+        );
+        for round in 0..6 {
+            let turn = sup.turn(0);
+            assert_eq!(
+                matches!(turn, Turn::Recycled(_)),
+                round % 3 == 2,
+                "round {round}"
+            );
+            if round < 4 {
+                sup.turn(1);
+                sup.turn(2);
+            }
+        }
+        let per_slot = [
+            (12, 2, 0, 0, 0, false), // 2 runs of 2 + 3 + 1 violations
+            (0, 0, 0, 3, 2, true),   // boot + 2 respawns trap, then parked
+            (0, 0, 1, 0, 1, false),  // 3 idle polls after the work: hung
+        ];
+        let mut summed = SupervisionStats::default();
+        for (slot, &(violations, completed_runs, hung, trapped, restarts_used, parked)) in
+            per_slot.iter().enumerate()
+        {
+            assert_eq!(
+                sup.slot_health(slot as u32),
+                SlotHealth {
+                    violations,
+                    escalated_hung: hung,
+                    escalated_trapped: trapped,
+                    restarts_used,
+                    parked,
+                },
+                "slot {slot}"
+            );
+            summed.violations += violations;
+            summed.completed_runs += completed_runs;
+            summed.escalated_hung += hung;
+            summed.escalated_trapped += trapped;
+            summed.respawns += u64::from(restarts_used);
+            summed.permanent_failures += u64::from(parked);
+        }
+        assert_eq!(sup.stats(), summed);
     }
 }

@@ -420,7 +420,7 @@ mod tests {
     }
 
     #[test]
-    fn all_backends_roundtrip_in_order() {
+    fn ring_roundtrips_in_order() {
         let t = InProcRing::new(8);
         assert_eq!(t.send_many(&frames(0..5)), 5);
         assert_eq!(recv(&t, 8).0, frames(0..5), "wire order");
@@ -510,7 +510,7 @@ mod tests {
     }
 
     #[test]
-    fn shm_corruption_is_detected_at_ingest() {
+    fn corruption_is_detected_at_ingest() {
         // Frame-at-a-time ingest: a one-slot batch that meets a flipped
         // frame reports it as corrupt, and the next frame arrives intact.
         let mut t = InProcRing::new(4);
@@ -532,7 +532,7 @@ mod tests {
     }
 
     #[test]
-    fn shm_corruption_is_skipped_and_counted_by_batched_recv() {
+    fn corruption_is_skipped_and_counted_by_batched_recv() {
         let mut t = InProcRing::new(4);
         assert_eq!(t.send_many(&frames(0..3)), 3);
         t.corrupt_oldest(21);
@@ -591,7 +591,7 @@ mod tests {
     }
 
     #[test]
-    fn ingest_roundtrip_reassembles_every_backend_byte_identically() {
+    fn ingest_roundtrip_reassembles_the_stream_byte_identically() {
         let logs: Vec<CommitLog> = (0..100).map(log).collect();
         let got = ingest_roundtrip(&logs).expect("clean roundtrip");
         assert_eq!(got, logs);

@@ -5,8 +5,8 @@ use std::sync::Arc;
 use titancfi::{FailPolicy, ResilienceConfig};
 use titancfi_faults::{FaultClass, FaultConfig};
 use titancfi_fleet::{
-    call_dense_workload, run_fleet, validate_prometheus, AlertKind, FleetConfig, HealthConfig,
-    SocDevice, SocDeviceConfig, SupervisionConfig,
+    call_dense_workload, run_fleet, AlertKind, FleetConfig, HealthConfig, SocDevice,
+    SocDeviceConfig, SupervisionConfig,
 };
 use titancfi_soc::SocConfig;
 
@@ -107,7 +107,7 @@ fn fleet_latency_histogram_keeps_every_finished_run() {
 }
 
 #[test]
-fn clean_fleet_raises_zero_alerts_and_valid_exposition() {
+fn clean_fleet_raises_zero_alerts_and_scores_100() {
     let program = Arc::new(call_dense_workload(4));
     let config = FleetConfig {
         devices: 6,
@@ -143,11 +143,6 @@ fn clean_fleet_raises_zero_alerts_and_valid_exposition() {
         "clean fleet scores perfect health: {:?}",
         report.health_scores
     );
-    validate_prometheus(&report.exposition).expect("exposition parses as Prometheus text");
-    assert!(report.exposition.contains("titancfi_fleet_frames_ok"));
-    assert!(report
-        .exposition
-        .contains("titancfi_device_health_score{device=\"5\"}"));
 }
 
 #[test]
@@ -211,8 +206,4 @@ fn alert_engine_pages_on_fault_injected_fleet() {
         "sick slot's score must drop: {:?}",
         report.health_scores
     );
-    validate_prometheus(&report.exposition).expect("exposition parses as Prometheus text");
-    assert!(report
-        .exposition
-        .contains("titancfi_alerts_total{kind=\"violation_burst\""));
 }

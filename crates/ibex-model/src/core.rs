@@ -115,12 +115,6 @@ impl<B: IbexBus> IbexCore<B> {
         self.decode_cache.invalidate_all();
     }
 
-    /// Whether the predecode fast path is active.
-    #[must_use]
-    pub fn predecode_enabled(&self) -> bool {
-        self.predecode
-    }
-
     /// Drops every predecoded entry. Required after mutating instruction
     /// memory behind the hart's back (e.g. loading an image through
     /// `self.bus` directly); stores executed by the hart are tracked

@@ -45,4 +45,4 @@ pub use metrics::{Histogram, SimMetrics};
 pub use probe::{NoProbe, Probe, RetireSample, Track};
 pub use profiler::FirmwareProfiler;
 pub use recorder::Recorder;
-pub use timeline::{Timeline, TimelineConfig};
+pub use timeline::Timeline;

@@ -8,21 +8,9 @@
 use crate::probe::Track;
 use titancfi_harness::Json;
 
-/// Limits for the in-memory event record.
-#[derive(Debug, Clone, Copy)]
-pub struct TimelineConfig {
-    /// Maximum events retained; further events are counted but dropped so
-    /// a long run cannot exhaust memory. 0 means unlimited.
-    pub max_events: usize,
-}
-
-impl Default for TimelineConfig {
-    fn default() -> TimelineConfig {
-        TimelineConfig {
-            max_events: 4_000_000,
-        }
-    }
-}
+/// Maximum events retained; further events are counted but dropped so a
+/// long run cannot exhaust memory.
+const MAX_EVENTS: usize = 4_000_000;
 
 #[derive(Debug, Clone, PartialEq, Eq)]
 enum EventKind {
@@ -40,34 +28,43 @@ struct Event {
 }
 
 /// An append-only record of pipeline spans, instants, and counter samples.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct Timeline {
-    config: TimelineConfig,
+    max_events: usize,
     events: Vec<Event>,
     dropped: u64,
     open_spans: [u32; Track::ALL.len()],
 }
 
-impl Timeline {
-    /// A timeline with the default event cap.
-    #[must_use]
-    pub fn new() -> Timeline {
-        Timeline::with_config(TimelineConfig::default())
-    }
-
-    /// A timeline with an explicit config.
-    #[must_use]
-    pub fn with_config(config: TimelineConfig) -> Timeline {
+impl Default for Timeline {
+    fn default() -> Timeline {
         Timeline {
-            config,
+            max_events: MAX_EVENTS,
             events: Vec::new(),
             dropped: 0,
             open_spans: [0; Track::ALL.len()],
         }
     }
+}
+
+impl Timeline {
+    /// A timeline that keeps at most 4,000,000 events.
+    #[must_use]
+    pub fn new() -> Timeline {
+        Timeline::default()
+    }
+
+    /// A timeline that keeps at most `max_events` events.
+    #[cfg(test)]
+    fn with_max_events(max_events: usize) -> Timeline {
+        Timeline {
+            max_events,
+            ..Timeline::default()
+        }
+    }
 
     fn push(&mut self, event: Event) {
-        if self.config.max_events != 0 && self.events.len() >= self.config.max_events {
+        if self.events.len() >= self.max_events {
             self.dropped += 1;
             return;
         }
@@ -129,7 +126,7 @@ impl Timeline {
         self.events.is_empty()
     }
 
-    /// Events discarded after hitting [`TimelineConfig::max_events`].
+    /// Events discarded after hitting the event cap.
     #[must_use]
     pub fn dropped(&self) -> u64 {
         self.dropped
@@ -306,7 +303,7 @@ mod tests {
 
     #[test]
     fn event_cap_drops_and_counts() {
-        let mut t = Timeline::with_config(TimelineConfig { max_events: 2 });
+        let mut t = Timeline::with_max_events(2);
         for cycle in 0..5 {
             t.instant(Track::HostCommit, "x", cycle);
         }
